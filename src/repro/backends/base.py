@@ -259,16 +259,17 @@ class Backend(ABC):
     ) -> "Future | None":
         """Execute one loop on the runtime's real thread pool.
 
-        Color classes run as sequential fork-join batches; blocks of one
+        Color classes run as sequential fork-join batches of the loop-task
+        core (:func:`repro.backends.threaded.run_forkjoin`); blocks of one
         color execute concurrently (they write disjoint rows by plan
-        coloring). Synchronous backends return ``None``; async flavors
-        override this to return an already-completed future so application
-        drivers keep their sync structure.
+        coloring). Synchronous backends return ``None``; the dependency-
+        scheduled backends override this to return the loop's future.
         """
-        from repro.backends.threaded import run_loop_threaded
+        from repro.backends.threaded import LoopSpace, run_forkjoin
 
-        run_loop_threaded(
-            rt, loop, plan, self._thread_chunker(rt), mode=self._exec_mode(rt)
+        run_forkjoin(
+            rt.thread_pool, loop, LoopSpace(plan), self._thread_chunker(rt),
+            self._exec_mode(rt), rt.obs,
         )
         return None
 

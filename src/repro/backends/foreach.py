@@ -22,7 +22,7 @@ from typing import Any
 from repro.backends.base import Backend
 from repro.backends.emission import record_block_costs
 from repro.hpx import for_each, par
-from repro.hpx.chunking import AutoPartitioner, DynamicChunkSize, StaticChunkSize
+from repro.hpx.chunking import AutoPartitioner, StaticChunkSize
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
 from repro.op2.runtime import LoopLog, Op2Runtime
@@ -46,21 +46,13 @@ class ForEachBackend(Backend):
         self,
         static_chunking: bool = False,
         static_chunk: int = DEFAULT_STATIC_CHUNK,
-        dynamic_schedule: bool = False,
     ) -> None:
         self.static_chunking = static_chunking
         self.static_chunk = int(static_chunk)
-        #: hand fixed-size chunks out on demand (self-scheduling) instead of
-        #: pre-assigning them — same decomposition, and the threads mode
-        #: folds partials in chunk order, so results bit-match the static
-        #: schedule (tested). Only meaningful with ``static_chunking``.
-        self.dynamic_schedule = bool(dynamic_schedule)
         self.name = "foreach_static" if static_chunking else "foreach"
 
     def _chunker(self):
         if self.static_chunking:
-            if self.dynamic_schedule:
-                return DynamicChunkSize(self.static_chunk)
             return StaticChunkSize(self.static_chunk)
         return AutoPartitioner()
 

@@ -1,14 +1,17 @@
 """Dependency-driven scheduling of measured (``threads``-mode) loops.
 
-This is the measured-mode counterpart of the dataflow emitter: instead of a
-per-loop sequence of fork-join color batches, every chunk of every loop is
-handed to :meth:`~repro.hpx.threadpool.ThreadPoolEngine.submit_after` with
-exactly the predecessor tasks it conflicts with, and is *released* to the
-pool the instant those complete. No color of one loop ever waits for an
-unrelated chunk of another loop — the paper's barrier elimination, on real
-OS threads rather than in the simulator.
+This module owns the *cross-loop analysis* of the dependency-scheduled
+backends; executing a loop is the loop-task core's job
+(:func:`repro.backends.threaded.submit_loop`). For each loop it works out
+which earlier tasks every chunk must wait for, and hands those per-chunk
+predecessors to the core, which releases each chunk on the pool the instant
+they complete. No color of one loop ever waits for an unrelated chunk of
+another loop — the paper's barrier elimination, on real OS threads rather
+than in the simulator.
 
-Two refinement levels share this scheduler:
+The analysis is: the dat dependence tracker, block-level refinement, the
+per-global and per-dat finalizer gate chains, and retention of recent loop
+handles. Two refinement levels share it:
 
 - **loop level** (``refine_blocks=False``, the async backend): a consumer
   chunk waits for the *finalizer* of each producer loop it conflicts with.
@@ -33,19 +36,16 @@ Determinism contract (same worker count ⇒ bit-identical results):
 - finalizers of loops writing the same dat are chained, so version bumps
   (plain ``int`` increments) never race.
 
-Loop finalizers run *inline* on whichever worker completes the loop's last
-chunk: they fold partials, bump dat versions once per distinct written dat,
-and record the loop's wall-clock aggregates. The application only ever
-blocks in ``rt.sync(...)`` / ``rt.finish()``.
+The application only ever blocks in ``rt.sync(...)`` / ``rt.finish()``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.backends.base import apply_global_partials
+from repro.backends.base import apply_global_partials  # noqa: F401 - patched by perfbench/layers.py
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
-from repro.backends.threaded import _run_spans, bump_written_versions, chunk_spans
+from repro.backends.threaded import LoopChunk, LoopSpace, submit_loop
 from repro.hpx.threadpool import PoolFuture, PoolTask
 from repro.op2.access import Access
 from repro.op2.dat import OpGlobal
@@ -68,20 +68,14 @@ HANDLE_RETENTION = 256
 class _LoopHandle:
     """Scheduling state of one in-flight (or recently finished) loop."""
 
-    __slots__ = ("rec", "block_task", "chunk_tasks", "final")
+    __slots__ = ("rec", "block_task", "final")
 
     def __init__(
-        self,
-        rec: LoopRecord,
-        block_task: dict[int, PoolTask],
-        chunk_tasks: list[PoolTask],
-        final: PoolTask,
+        self, rec: LoopRecord, block_task: dict[int, PoolTask], final: PoolTask
     ) -> None:
         self.rec = rec
         #: plan-wide block id -> the chunk task that executes it.
         self.block_task = block_task
-        #: every chunk task, in submission (= fold) order.
-        self.chunk_tasks = chunk_tasks
         #: inline finalizer: folds partials, bumps versions, records timing.
         self.final = final
 
@@ -188,123 +182,40 @@ class LoopScheduler:
         are visible. Nothing blocks here.
         """
         pool = self.rt.thread_pool
-        rec = self.rt.obs
         record = LoopRecord(loop_id=loop_id, loop=loop, plan=plan)
 
         dep_ids = self.tracker.dependencies(list(loop.args), token=loop_id)
         producers = [self.handles[d] for d in dep_ids if d in self.handles]
         per_block, fallback = self._external_deps(record, producers)
 
-        t_loop = rec.now() if rec is not None else 0.0
-        chunk_tasks: list[PoolTask] = []
-        block_task: dict[int, PoolTask] = {}
-        prev_gate: PoolTask | None = None
-        first_color = True
-        ncolors = 0
-        for ci, class_blocks in enumerate(plan.classes):
-            if not class_blocks:
-                continue
-            ncolors += 1
-            color_tasks: list[PoolTask] = []
-            for k, chunk in enumerate(chunker.chunks(len(class_blocks), pool.num_workers)):
-                if not len(chunk):
-                    continue
-                spans = chunk_spans(plan, class_blocks, chunk)
-                deps: list[PoolTask] = []
-                seen: set[int] = set()
+        def chunk_deps(chunk: LoopChunk) -> list[PoolTask]:
+            found: dict[int, PoolTask] = {}
+            for bi in chunk.blocks:
+                found.update(per_block.get(bi, {}))
+            return list(found.values())
 
-                def need(t: PoolTask) -> None:
-                    if id(t) not in seen:
-                        seen.add(id(t))
-                        deps.append(t)
-
-                if prev_gate is not None:
-                    need(prev_gate)
-                if first_color:
-                    # Later colors inherit the fallbacks transitively through
-                    # the previous color's gate.
-                    for t in fallback:
-                        need(t)
-                for bi in class_blocks[chunk.start : chunk.stop]:
-                    bucket = per_block.get(bi)
-                    if bucket:
-                        for t in bucket.values():
-                            need(t)
-                task = pool.submit_after(
-                    lambda s=spans: _run_spans(loop, s, mode),
-                    deps,
-                    loop=loop.name,
-                    color=ci,
-                    index=k,
-                )
-                for bi in class_blocks[chunk.start : chunk.stop]:
-                    block_task[bi] = task
-                color_tasks.append(task)
-                chunk_tasks.append(task)
-            first_color = False
-            if len(color_tasks) == 1:
-                prev_gate = color_tasks[0]
-            elif color_tasks:
-                prev_gate = pool.gate(color_tasks, loop=loop.name, color=ci)
-
-        final_deps: list[PoolTask] = list(chunk_tasks)
-        if not chunk_tasks:
-            # Empty iteration space: the finalizer still carries the loop's
-            # ordering obligations (it is what successors will wait on).
-            final_deps.extend(fallback)
-            for bucket in per_block.values():
-                final_deps.extend(bucket.values())
-        gate_globals: list[int] = []
-        gate_dats: list[int] = []
-        g_seen: set[int] = set()
-        for arg in loop.args:
-            if not arg.access.writes or id(arg.dat) in g_seen:
-                continue
-            g_seen.add(id(arg.dat))
-            if isinstance(arg.dat, OpGlobal):
-                prev = self._global_gates.get(id(arg.dat))
-                gate_globals.append(id(arg.dat))
-            else:
-                prev = self._dat_gates.get(id(arg.dat))
-                gate_dats.append(id(arg.dat))
-            if prev is not None:
-                final_deps.append(prev)
-
-        ntasks = len(chunk_tasks)
-
-        def finish() -> None:
-            partials = []
-            for t in chunk_tasks:  # submission order = deterministic fold
-                partials.extend(t.value())
-            if rec is not None and partials:
-                t0 = rec.now()
-                apply_global_partials(partials)
-                fold_s = rec.now() - t0
-                rec.span(
-                    f"{loop.name}.fold", "fold", loop.name, t0, t0 + fold_s,
-                    busy=True,
-                )
-            else:
-                fold_s = 0.0
-                apply_global_partials(partials)
-            bump_written_versions(loop)
-            if rec is not None:
-                end = rec.now()
-                rec.span(loop.name, "loop", loop.name, t_loop, end)
-                _count, task_s = rec.take_task_totals(loop.name)
-                rec.record_loop(
-                    loop.name, end - t_loop, ncolors, ntasks, task_s, 0.0, fold_s
-                )
-
-        final = pool.submit_after(
-            finish, final_deps, inline=True, loop=loop.name
+        # Finalizers of loops reducing into one global (fold order) or
+        # writing one dat (version-bump order) are chained in program order.
+        gates = {
+            id(a.dat): self._global_gates if isinstance(a.dat, OpGlobal) else self._dat_gates
+            for a in loop.args
+            if a.access.writes
+        }
+        chunks = LoopSpace(plan).split(chunker, pool.num_workers)
+        tasks, final = submit_loop(
+            pool, loop, chunks, mode, fallback, self.rt.obs,
+            chunk_deps=chunk_deps,
+            final_deps=[chain[k] for k, chain in gates.items() if k in chain],
         )
-        for gid in gate_globals:
-            self._global_gates[gid] = final
-        for did in gate_dats:
-            self._dat_gates[did] = final
+        for k, chain in gates.items():
+            chain[k] = final
 
-        self.handles[loop_id] = _LoopHandle(record, block_task, chunk_tasks, final)
+        block_task = {
+            bi: task
+            for chunk, task in zip((c for color in chunks for c in color), tasks)
+            for bi in chunk.blocks
+        }
+        self.handles[loop_id] = _LoopHandle(record, block_task, final)
         self._prune()
         return PoolFuture(final, pool, name=f"threads.{loop.name}")
 

@@ -1,135 +1,145 @@
-"""The shared real-thread execution driver (``mode="threads"``).
+"""The loop-task core: how one ``op_par_loop`` becomes pool tasks.
 
-Every backend's :meth:`~repro.backends.base.Backend.run_loop_threads` lands
-here. One ``op_par_loop`` executes as follows:
+Every real-thread execution path runs its loops through this module: the
+``threads``-mode backends (fork-join ``openmp``/``foreach*`` directly, the
+dependency-scheduled ``hpx_async``/``hpx_dataflow`` through
+:mod:`repro.backends.scheduling`) and the pool-backed per-rank executors of
+:mod:`repro.engine.executors`. The module owns five pieces:
 
-1. the plan's color classes run **sequentially** (colors are the correctness
-   barrier for indirect reductions);
-2. within a color class, the backend's chunker splits the class's block list
-   into chunks; each chunk becomes one pool task. Contiguous blocks inside a
-   chunk are merged into single element *spans*, so a direct loop (one color,
-   contiguous blocks) turns into a handful of large ``execute_loop`` slices —
-   exactly the grain numpy needs to release the GIL for meaningful stretches;
-3. serial-prefix chunks (the auto partitioner's measurement pass) run inline
-   on the calling thread *before* the parallel chunks are submitted, and are
-   *timed*: the measured per-iteration cost feeds back into the chunker to
-   size the remaining chunks (HPX ``auto_partitioner`` semantics);
-4. a ``dynamic`` chunker (``DynamicChunkSize``) keeps the identical
-   decomposition but hands chunks out on demand from a shared index
-   (self-scheduling): ``min(workers, chunks)`` puller tasks drain the chunk
-   list, storing each chunk's partials into its own slot;
-5. global MIN/MAX/INC reductions are **deferred**: each task returns its
-   batch partials, and the calling thread folds them in chunk-submission
-   order (never completion order) — repeated runs with the same worker count
-   are therefore bit-identical, and dynamic scheduling bit-matches static.
+- **decomposition** (:class:`LoopSpace`) — each color class of the plan,
+  over the whole set or over a sorted subset, is split into chunks by the
+  backend's chunker. A chunk makes one ``execute_loop`` call per run of
+  adjacent blocks: a slice of the set, or the concatenated subset ids. A
+  direct loop (one color, contiguous blocks) thus turns into a handful of
+  large calls — the grain numpy needs to release the GIL for meaningful
+  stretches;
+- **chunk body** (:func:`run_chunk`) — executes those calls and returns the
+  chunk's deferred global partials;
+- **fork-join** (:func:`run_forkjoin`) — colors in sequence, one pool batch
+  per color. The auto partitioner's serial-prefix chunk runs inline on the
+  calling thread *before* the color's batch and is timed; the measured
+  per-iteration cost sizes the remaining chunks (HPX ``auto_partitioner``
+  semantics);
+- **dependency submission** (:func:`submit_loop`) — chunks are released
+  with ``submit_after`` as soon as their predecessors finish, colors are
+  chained by inline gates, and the loop ends in an inline finalizer;
+- **finalizer** (:func:`finish_loop`) — the one place a loop's deferred side
+  effects happen: global MIN/MAX/INC partials are folded in chunk order
+  (never completion order, so repeated runs with the same worker count are
+  bit-identical), every distinct written dat is bumped once, and the loop's
+  timing is recorded.
 
 Why this is race-free:
 
 - same-color blocks touch disjoint indirect-reduction rows (plan coloring,
-  property-tested in ``tests/property/test_prop_threaded_race.py``);
-- direct writes target each task's own element spans, which are disjoint by
+  property-tested in ``tests/property/test_prop_threaded_race.py``), and a
+  subset of a block increments a subset of the block's targets;
+- direct writes target each chunk's own elements, which are disjoint by
   construction (chunks partition the class);
-- globals are never written from worker threads (deferral above);
-- dat version counters are bumped once per loop by the calling thread, not
-  from workers.
+- globals are never written from chunk bodies (deferral above);
+- dat version counters are bumped only by the finalizer.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.backends.base import apply_global_partials, execute_loop
 from repro.hpx.chunking import Chunk, Chunker
-from repro.hpx.threadpool import ThreadPoolEngine
+from repro.hpx.threadpool import PoolTask, ThreadPoolEngine
 from repro.op2.args import Arg
+from repro.op2.exceptions import PlanError
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.op2.runtime import Op2Runtime
+    from repro.obs.recorder import TraceRecorder
+
+#: What a chunk body returns: its start time on the recorder's clock (0.0
+#: untraced) and its global partials in execution order.
+ChunkResult = tuple[float, list[tuple[Arg, np.ndarray]]]
 
 
 @dataclass(frozen=True)
-class Span:
-    """A contiguous ``[start, stop)`` element range executed as one batch."""
+class LoopChunk:
+    """One pool task of a loop: the plan blocks it covers and its calls."""
 
-    start: int
-    stop: int
+    color: int
+    index: int
+    blocks: tuple[int, ...]
+    #: one ``execute_loop`` element argument per run of adjacent blocks.
+    runs: tuple[slice | np.ndarray, ...]
 
-    def __len__(self) -> int:
-        return self.stop - self.start
 
+class LoopSpace:
+    """A plan's color classes over the whole set or over a sorted subset.
 
-def chunk_spans(plan: Plan, class_blocks: list[int], chunk: Chunk) -> list[Span]:
-    """Merge the chunk's plan blocks into maximal contiguous element spans.
-
-    ``class_blocks[chunk.start:chunk.stop]`` names blocks of one color; for
-    direct loops these are contiguous and collapse into a single span, for
-    colored indirect loops same-color blocks are scattered and mostly stay
-    one span per block.
+    ``bounds[b]`` is block ``b``'s ``[lo, hi)`` range in the space's index:
+    element ids for the whole set, positions in ``subset`` for a subset.
+    :attr:`classes` keeps every color class that holds at least one element
+    of the space, restricted to the blocks that do.
     """
-    spans: list[Span] = []
-    for bi in class_blocks[chunk.start : chunk.stop]:
-        b = plan.blocks[bi]
-        if spans and spans[-1].stop == b.start:
-            spans[-1] = Span(spans[-1].start, b.stop)
+
+    def __init__(self, plan: Plan, subset: np.ndarray | None = None) -> None:
+        blocks = plan.blocks
+        if subset is None:
+            self.bounds = [(b.start, b.stop) for b in blocks]
         else:
-            spans.append(Span(b.start, b.stop))
-    return spans
+            subset = np.asarray(subset)
+            if subset.size and np.any(np.diff(subset) < 0):
+                raise PlanError("a loop's iteration subset must be sorted")
+            lo = np.searchsorted(subset, [b.start for b in blocks]).tolist()
+            hi = np.searchsorted(subset, [b.stop for b in blocks]).tolist()
+            self.bounds = list(zip(lo, hi))
+        self.subset = subset
+        self.classes: list[tuple[int, list[int]]] = []
+        for ci, class_blocks in enumerate(plan.classes):
+            live = [bi for bi in class_blocks if self.bounds[bi][1] > self.bounds[bi][0]]
+            if live:
+                self.classes.append((ci, live))
+
+    def chunk(self, color: int, index: int, blocks: Sequence[int]) -> LoopChunk:
+        """Merge ``blocks`` (one color, ascending) into runs of adjacent blocks."""
+        runs: list[list[int]] = []
+        for bi in blocks:
+            lo, hi = self.bounds[bi]
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        if self.subset is None:
+            calls = tuple(slice(lo, hi) for lo, hi in runs)
+        else:
+            calls = tuple(self.subset[lo:hi] for lo, hi in runs)
+        return LoopChunk(color, index, tuple(blocks), calls)
+
+    def split(self, chunker: Chunker, width: int) -> list[list[LoopChunk]]:
+        """The static decomposition: per color class, its chunks in order."""
+        return [
+            [
+                self.chunk(ci, k, blocks[c.start : c.stop])
+                for k, c in enumerate(chunker.chunks(len(blocks), width))
+            ]
+            for ci, blocks in self.classes
+        ]
 
 
-def _run_spans(
-    loop: ParLoop, spans: list[Span], mode: str
-) -> list[tuple[Arg, np.ndarray]]:
-    """Execute the task's spans; return deferred global partials in order."""
+def run_chunk(
+    loop: ParLoop, chunk: LoopChunk, mode: str, rec: "TraceRecorder | None"
+) -> ChunkResult:
+    """Chunk body: run the chunk's calls, deferring globals and versions."""
+    start = rec.now() if rec is not None else 0.0
     partials: list[tuple[Arg, np.ndarray]] = []
-    for span in spans:
+    for elements in chunk.runs:
         execute_loop(
-            loop,
-            slice(span.start, span.stop),
-            mode=mode,
-            global_sink=partials,
-            bump_versions=False,
+            loop, elements, mode=mode, global_sink=partials, bump_versions=False
         )
-    return partials
-
-
-def _run_dynamic(
-    pool: ThreadPoolEngine,
-    loop: ParLoop,
-    work: list[list[Span]],
-    mode: str,
-    color: int,
-) -> list[list[tuple[Arg, np.ndarray]]]:
-    """Self-scheduling: pullers drain a shared chunk index on demand.
-
-    Each chunk's partials land in the slot matching its *chunk index*, so
-    the caller folds them in decomposition order and the result bit-matches
-    the statically pre-assigned schedule regardless of which worker ran
-    which chunk.
-    """
-    slots: list[list[tuple[Arg, np.ndarray]] | None] = [None] * len(work)
-    state = {"next": 0}
-    lock = threading.Lock()
-
-    def pull() -> None:
-        while True:
-            with lock:
-                i = state["next"]
-                if i >= len(work):
-                    return
-                state["next"] = i + 1
-            slots[i] = _run_spans(loop, work[i], mode)
-
-    width = min(pool.num_workers, len(work))
-    pool.run_batch([pull for _ in range(width)], loop=loop.name, color=color)
-    assert all(s is not None for s in slots)
-    return slots  # type: ignore[return-value]
+    return start, partials
 
 
 def bump_written_versions(loop: ParLoop) -> None:
@@ -146,94 +156,149 @@ def bump_written_versions(loop: ParLoop) -> None:
             arg.dat.bump_version()
 
 
-def run_loop_threaded(
-    rt: "Op2Runtime",
+def finish_loop(
     loop: ParLoop,
-    plan: Plan,
+    results: list[ChunkResult],
+    rec: "TraceRecorder | None",
+    t_submit: float,
+    ncolors: int,
+    ntasks: int,
+    prefix_s: float = 0.0,
+) -> None:
+    """Apply a finished loop's deferred side effects and record its timing.
+
+    ``results`` are the chunk results in decomposition order, which is the
+    fold order. The loop's ``total`` runs from its first chunk start to now;
+    its ``latency`` from ``t_submit`` (when the loop was handed to the pool)
+    to now — under dependency scheduling a loop can wait long before its
+    first chunk is released, and that wait belongs to latency only.
+    """
+    partials = [p for _, chunk_partials in results for p in chunk_partials]
+    t0 = rec.now() if rec is not None else 0.0
+    apply_global_partials(partials)
+    t1 = rec.now() if rec is not None else 0.0
+    bump_written_versions(loop)
+    if rec is None:
+        return
+    fold_s = 0.0
+    if partials:
+        fold_s = t1 - t0
+        rec.span(f"{loop.name}.fold", "fold", loop.name, t0, t1, busy=True)
+    end = rec.now()
+    first = min((start for start, _ in results), default=t_submit)
+    rec.span(loop.name, "loop", loop.name, t_submit, end)
+    _count, task_s = rec.take_task_totals(loop.name)
+    rec.record_loop(
+        loop.name, end - first, ncolors, ntasks, task_s, prefix_s, fold_s,
+        latency=end - t_submit,
+    )
+
+
+def run_forkjoin(
+    pool: ThreadPoolEngine,
+    loop: ParLoop,
+    space: LoopSpace,
     chunker: Chunker,
     mode: str = "vectorized",
+    rec: "TraceRecorder | None" = None,
 ) -> None:
-    """Execute ``loop`` under ``plan`` on the runtime's real thread pool.
+    """Run ``loop`` color by color, one fork-join pool batch per color.
 
-    When the runtime carries a :class:`~repro.obs.recorder.TraceRecorder`
-    (``rt.obs``), the orchestrating thread records per-loop and per-color
-    spans plus serial-prefix and reduction-fold attribution; the pool's
-    workers record their own task spans. Without a recorder every hook is a
-    single ``is not None`` check.
+    With a recorder, the calling thread records per-loop and per-color spans
+    plus serial-prefix and fold attribution; the pool's workers record their
+    own task spans.
     """
-    pool = rt.thread_pool
-    rec = rt.obs
-    partials: list[tuple[Arg, np.ndarray]] = []
-    t_loop = rec.now() if rec is not None else 0.0
-    ncolors = 0
+    t_submit = rec.now() if rec is not None else 0.0
+    results: list[ChunkResult] = []
     ntasks = 0
     prefix_s = 0.0
-
-    for ci, class_blocks in enumerate(plan.classes):
-        if not class_blocks:
-            continue
-        ncolors += 1
+    for ci, blocks in space.classes:
         t_color = rec.now() if rec is not None else 0.0
 
-        def run_prefix(chunk: Chunk, _blocks=class_blocks, _ci=ci) -> float:
+        def run_prefix(c: Chunk) -> float:
             # HPX's auto partitioner: the measurement pass runs inline on the
             # caller before any parallel chunk is spawned, and its wall time
             # is what the chunker sizes the remaining chunks from.
             nonlocal prefix_s
-            spans = chunk_spans(plan, _blocks, chunk)
             t0 = perf_counter()
-            partials.extend(_run_spans(loop, spans, mode))
+            results.append(
+                run_chunk(loop, space.chunk(ci, -1, blocks[c.start : c.stop]), mode, rec)
+            )
             elapsed = perf_counter() - t0
             if rec is not None:
                 prefix_s += elapsed
                 t1 = rec.now()
                 rec.span(
-                    f"{loop.name}.c{_ci}.prefix", "prefix", loop.name,
-                    t1 - elapsed, t1, color=_ci, busy=True,
+                    f"{loop.name}.c{ci}.prefix", "prefix", loop.name,
+                    t1 - elapsed, t1, color=ci, busy=True,
                 )
             return elapsed
 
-        chunks = chunker.split(len(class_blocks), pool.num_workers, measure=run_prefix)
         work = [
-            chunk_spans(plan, class_blocks, c)
-            for c in chunks
-            if not c.serial_prefix and len(c)
+            space.chunk(ci, k, blocks[c.start : c.stop])
+            for k, c in enumerate(chunker.split(len(blocks), pool.num_workers, run_prefix))
+            if not c.serial_prefix
         ]
-        if chunker.dynamic and work:
-            results = _run_dynamic(pool, loop, work, mode, color=ci)
-            ntasks += min(pool.num_workers, len(work))
-        else:
-            # One fork-join batch per color: run_batch returns in submission
-            # order only after every task finished (the color barrier).
-            results = pool.run_batch(
-                [lambda s=s: _run_spans(loop, s, mode) for s in work],
+        # run_batch returns in submission order only after every task
+        # finished: the color barrier.
+        results.extend(
+            pool.run_batch(
+                [lambda w=w: run_chunk(loop, w, mode, rec) for w in work],
                 loop=loop.name,
                 color=ci,
             )
-            ntasks += len(work)
-        for task_partials in results:
-            partials.extend(task_partials)
-        if rec is not None:
-            rec.span(
-                f"{loop.name}.c{ci}", "color", loop.name,
-                t_color, rec.now(), color=ci,
-            )
-
-    # Deferred side effects, applied deterministically by the calling thread
-    # (one version bump per distinct written dat, as execute_loop does).
-    fold_s = 0.0
-    if rec is not None and partials:
-        t0 = rec.now()
-        apply_global_partials(partials)
-        fold_s = rec.now() - t0
-        rec.span(f"{loop.name}.fold", "fold", loop.name, t0, t0 + fold_s, busy=True)
-    else:
-        apply_global_partials(partials)
-    bump_written_versions(loop)
-    if rec is not None:
-        rec.span(loop.name, "loop", loop.name, t_loop, rec.now())
-        _count, task_s = rec.take_task_totals(loop.name)
-        rec.record_loop(
-            loop.name, rec.now() - t_loop, ncolors, ntasks,
-            task_s, prefix_s, fold_s,
         )
+        ntasks += len(work)
+        if rec is not None:
+            rec.span(f"{loop.name}.c{ci}", "color", loop.name, t_color, rec.now(), color=ci)
+    finish_loop(loop, results, rec, t_submit, len(space.classes), ntasks, prefix_s)
+
+
+def submit_loop(
+    pool: ThreadPoolEngine,
+    loop: ParLoop,
+    chunks: list[list[LoopChunk]],
+    mode: str,
+    deps: Sequence[PoolTask],
+    rec: "TraceRecorder | None" = None,
+    chunk_deps: Callable[[LoopChunk], list[PoolTask]] | None = None,
+    final_deps: Sequence[PoolTask] = (),
+) -> tuple[list[PoolTask], PoolTask]:
+    """Submit a decomposed loop as dependency-released pool tasks.
+
+    The first color's chunks wait for ``deps``; each later color waits for
+    an inline gate on the previous one (colors are the correctness barrier
+    for indirect increments), which carries ``deps`` transitively.
+    ``chunk_deps(chunk)`` adds a chunk's own predecessors (block-level
+    refinement). The inline finalizer waits for the last color — or for
+    ``deps`` when there are no chunks — and for ``final_deps``. Nothing
+    blocks here.
+
+    Returns the chunk tasks in submission (= fold) order and the finalizer.
+    """
+    t_submit = rec.now() if rec is not None else 0.0
+    tasks: list[PoolTask] = []
+    prev = list(deps)
+    for color_chunks in chunks:
+        color_tasks = [
+            pool.submit_after(
+                lambda c=c: run_chunk(loop, c, mode, rec),
+                prev if chunk_deps is None else prev + chunk_deps(c),
+                loop=loop.name,
+                color=c.color,
+                index=c.index,
+            )
+            for c in color_chunks
+        ]
+        tasks.extend(color_tasks)
+        if len(color_tasks) == 1:
+            prev = color_tasks
+        else:
+            prev = [pool.gate(color_tasks, loop=loop.name, color=color_chunks[0].color)]
+
+    def finish() -> None:
+        results = [t.value() for t in tasks]
+        finish_loop(loop, results, rec, t_submit, len(chunks), len(tasks))
+
+    final = pool.submit_after(finish, prev + list(final_deps), inline=True, loop=loop.name)
+    return tasks, final

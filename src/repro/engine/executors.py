@@ -4,22 +4,26 @@ A :class:`ProgramBindings` is everything a program needs at runtime — the
 rank's :class:`~repro.op2.parloop.ParLoop` objects keyed by loop name, the
 subset id arrays keyed by subset name, the raw field arrays and transport
 for exchange steps, and an optional recorder. Three executors consume the
-same (program, bindings) pair:
+same (program, bindings) pair. This module owns only the *program walk* and
+the program's derived edges; every pooled loop step runs through the
+loop-task core (:mod:`repro.backends.threaded`), the same decomposition,
+fork-join, dependency submission and finalizer the threads-mode backends
+use.
 
 :class:`SerialExecutor`
     program order on the calling thread — the rank-per-process baseline
     (``threads_per_rank=1``), byte-identical to the old hand-written
     drivers;
 :class:`ForkJoinExecutor`
-    each loop step forks into per-color chunk batches on a
-    :class:`~repro.hpx.threadpool.ThreadPoolEngine` and joins before the
-    next step — the MPI+OpenMP shape (a barrier per loop, blocking
-    exchanges on the orchestrator);
+    each loop step runs through the core's fork-join routine and joins
+    before the next step — the MPI+OpenMP shape (a barrier per color,
+    blocking exchanges on the orchestrator);
 :class:`DependencyExecutor`
-    the whole program is scheduled up front as dependency-released pool
-    tasks using the program's derived edges; exchange waits occupy one
-    worker while every step with no path from a ``halo``/``chan`` token
-    keeps computing underneath — the HPX-dataflow shape, measured.
+    the whole program is scheduled up front through the core's dependency
+    submission, each step's first color waiting on the finalizers of the
+    step's derived predecessors; exchange waits occupy one worker while
+    every step with no path from a ``halo``/``chan`` token keeps computing
+    underneath — the HPX-dataflow shape, measured.
 
 Determinism contract (all executors): global MIN/MAX/INC partials are
 folded in static chunk order, never completion order; conflicting steps are
@@ -34,13 +38,15 @@ from typing import Any
 
 import numpy as np
 
-from repro.backends.base import apply_global_partials, execute_loop
-from repro.backends.threaded import bump_written_versions
-from repro.engine.program import ExchangeStep, LoopProgram, LoopStep, Step
+from repro.backends.base import apply_global_partials  # noqa: F401 - patched by perfbench/layers.py
+from repro.backends.base import execute_loop
+from repro.backends.threaded import LoopSpace, run_forkjoin, submit_loop
+from repro.engine.program import ExchangeStep, LoopProgram, LoopStep
+from repro.hpx.chunking import GuessChunkSize
 from repro.hpx.threadpool import PoolTask, ThreadPoolEngine
 from repro.obs.recorder import TraceRecorder
 from repro.op2.parloop import ParLoop
-from repro.op2.plan import DEFAULT_BLOCK_SIZE, Plan, build_plan, subset_color_pieces
+from repro.op2.plan import DEFAULT_BLOCK_SIZE, Plan, build_plan
 from repro.util.validate import ValidationError
 
 
@@ -109,12 +115,19 @@ class ProgramBindings:
                 )
 
 
-def _exchange_span(step: ExchangeStep) -> tuple[str, str]:
-    """(label, span kind) for an exchange step, matching historic traces."""
+def _run_exchange(step: ExchangeStep, b: ProgramBindings) -> None:
+    """Run an exchange step on the calling thread, traced as historic spans."""
+    rec = b.recorder
+    if rec is None:
+        b.exchange(step)
+        return
     if step.phase == "blocking":
-        return f"halo.{step.op}", "wait"
-    kind = "release" if step.phase == "start" else "wait"
-    return step.label, kind
+        label, kind = f"halo.{step.op}", "wait"
+    else:
+        label, kind = step.label, "release" if step.phase == "start" else "wait"
+    t0 = rec.now()
+    b.exchange(step)
+    rec.span(label, kind, "exchange", t0, rec.now())
 
 
 class SerialExecutor:
@@ -126,13 +139,7 @@ class SerialExecutor:
         rec = b.recorder
         for step in program.steps:
             if isinstance(step, ExchangeStep):
-                if rec is None:
-                    b.exchange(step)
-                    continue
-                label, kind = _exchange_span(step)
-                t0 = rec.now()
-                b.exchange(step)
-                rec.span(label, kind, "exchange", t0, rec.now())
+                _run_exchange(step, b)
                 continue
             loop = b.loops[step.name]
             elements = b.elements(step)
@@ -149,90 +156,41 @@ class SerialExecutor:
             rec.record_loop(step.name, end - t0, 1, 1)
 
 
-class _ChunkedLoops:
-    """Shared chunk decomposition cache for the threaded executors.
+#: Pooled executors split each color class evenly across the workers
+#: (OpenMP's static schedule), like the threads-mode backends' default.
+CHUNKER = GuessChunkSize()
 
-    Per (loop, subset): the plan's color classes restricted to the subset and
-    regrouped into at most ``width`` chunks per color. Depends only on static
-    inputs, so the decomposition — and therefore the reduction fold order —
-    is identical across runs.
+
+class _PooledExecutor:
+    """A pool plus the per-step loop spaces (plan over step subset), cached.
+
+    Spaces depend only on static inputs, so the decomposition — and
+    therefore the reduction fold order — is identical across runs.
     """
 
-    def __init__(self, width: int, block_size: int) -> None:
-        self.width = max(1, int(width))
+    def __init__(
+        self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
+    ) -> None:
+        self.pool = pool
         self.block_size = int(block_size)
         self._plans: dict[str, Plan] = {}
-        self._chunks: dict[tuple[str, str | None], list[tuple[int, list[np.ndarray]]]] = {}
+        self._spaces: dict[tuple[str, str | None], LoopSpace] = {}
 
-    def plan(self, loop: ParLoop) -> Plan:
-        p = self._plans.get(loop.name)
-        if p is None:
-            p = self._plans[loop.name] = build_plan(
-                loop.set_, list(loop.args), self.block_size
-            )
-        return p
-
-    def chunks(
-        self, step: LoopStep, loop: ParLoop, b: ProgramBindings
-    ) -> list[tuple[int, list[np.ndarray]]]:
-        """[(color, [chunk element ids, ...]), ...] for one loop step."""
+    def _space(self, step: LoopStep, b: ProgramBindings) -> LoopSpace:
         key = (step.name, step.subset)
-        cached = self._chunks.get(key)
-        if cached is not None:
-            return cached
-        plan = self.plan(loop)
-        elements = b.elements(step)
-        out: list[tuple[int, list[np.ndarray]]] = []
-        if not plan.colored:
-            if elements is None:
-                elements = np.arange(loop.set_.size, dtype=np.int64)
-            if len(elements):
-                pieces = np.array_split(elements, min(self.width, len(elements)))
-                out.append((0, [p for p in pieces if len(p)]))
-        else:
-            for ci, pieces in enumerate(subset_color_pieces(plan, elements)):
-                if pieces:
-                    out.append((ci, _regroup(pieces, self.width)))
-        self._chunks[key] = out
-        return out
+        space = self._spaces.get(key)
+        if space is None:
+            loop = b.loops[step.name]
+            plan = self._plans.get(step.name)
+            if plan is None:
+                plan = self._plans[step.name] = build_plan(
+                    loop.set_, list(loop.args), self.block_size
+                )
+            space = self._spaces[key] = LoopSpace(plan, b.elements(step))
+        return space
 
 
-def _regroup(pieces: list[np.ndarray], width: int) -> list[np.ndarray]:
-    """Merge same-color pieces into at most ``width`` balanced chunks.
-
-    Pieces stay in block order and chunks are contiguous runs of pieces, so
-    every chunk is a sorted id array and the decomposition is static.
-    """
-    total = sum(len(p) for p in pieces)
-    if len(pieces) <= width:
-        return [p for p in pieces if len(p)]
-    target = max(1, -(-total // width))
-    chunks: list[np.ndarray] = []
-    bucket: list[np.ndarray] = []
-    filled = 0
-    for p in pieces:
-        if not len(p):
-            continue
-        bucket.append(p)
-        filled += len(p)
-        if filled >= target and len(chunks) < width - 1:
-            chunks.append(np.concatenate(bucket))
-            bucket, filled = [], 0
-    if bucket:
-        chunks.append(np.concatenate(bucket))
-    return chunks
-
-
-def _run_chunk(loop: ParLoop, elements: np.ndarray) -> list:
-    """Pool-task body: execute one chunk, return its deferred partials."""
-    partials: list = []
-    execute_loop(
-        loop, elements, global_sink=partials, bump_versions=False
-    )
-    return partials
-
-
-class ForkJoinExecutor:
+class ForkJoinExecutor(_PooledExecutor):
     """Per-loop fork-join on a thread pool; blocking exchanges in between.
 
     This is the measured MPI+OpenMP baseline shape: colors run as barrier-
@@ -242,64 +200,26 @@ class ForkJoinExecutor:
 
     name = "forkjoin"
 
-    def __init__(
-        self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> None:
-        self.pool = pool
-        self._chunked = _ChunkedLoops(pool.num_workers, block_size)
-
     def run(self, program: LoopProgram, b: ProgramBindings) -> None:
-        rec = b.recorder
         for step in program.steps:
             if isinstance(step, ExchangeStep):
-                if rec is None:
-                    b.exchange(step)
-                    continue
-                label, kind = _exchange_span(step)
-                t0 = rec.now()
-                b.exchange(step)
-                rec.span(label, kind, "exchange", t0, rec.now())
+                _run_exchange(step, b)
                 continue
-            self._run_loop(step, b)
-
-    def _run_loop(self, step: LoopStep, b: ProgramBindings) -> None:
-        rec = b.recorder
-        loop = b.loops[step.name]
-        colors = self._chunked.chunks(step, loop, b)
-        if not colors:
-            return
-        t0 = rec.now() if rec is not None else 0.0
-        partials: list = []
-        ncolors = 0
-        ntasks = 0
-        for ci, chunks in colors:
-            ncolors += 1
-            ntasks += len(chunks)
-            results = self.pool.run_batch(
-                [lambda c=c: _run_chunk(loop, c) for c in chunks],
-                loop=step.name,
-                color=ci,
-            )
-            for task_partials in results:
-                partials.extend(task_partials)
-        apply_global_partials(partials)
-        bump_written_versions(loop)
-        if rec is not None:
-            end = rec.now()
-            rec.span(step.label, "loop", step.name, t0, end)
-            _count, task_s = rec.take_task_totals(step.name)
-            rec.record_loop(step.name, end - t0, ncolors, ntasks, task_s)
+            space = self._space(step, b)
+            if space.classes:
+                run_forkjoin(self.pool, b.loops[step.name], space, CHUNKER, rec=b.recorder)
 
 
-class DependencyExecutor:
+class DependencyExecutor(_PooledExecutor):
     """Whole-program dependency scheduling on a thread pool.
 
-    Every step becomes a small task graph (chunk tasks per color, an inline
-    gate per color, an inline finalizer folding the reduction partials) whose
-    roots depend on the *finalizers of the step's derived predecessors* —
-    nothing else. Exchange steps run as single pool tasks, so a wait occupies
-    one worker while released compute fills the rest: communication hides
-    behind computation exactly where the program's footprints allow it.
+    Every loop step is submitted through the core (chunk tasks per color,
+    an inline gate per color, an inline finalizer) with its first color
+    waiting on the *finalizers of the step's derived predecessors* —
+    nothing else. Exchange steps run as single pool tasks, so a wait
+    occupies one worker while released compute fills the rest:
+    communication hides behind computation exactly where the program's
+    footprints allow it.
     """
 
     name = "dependency"
@@ -307,82 +227,33 @@ class DependencyExecutor:
     def __init__(
         self, pool: ThreadPoolEngine, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> None:
-        self.pool = pool
-        self._chunked = _ChunkedLoops(pool.num_workers, block_size)
+        super().__init__(pool, block_size)
         self._edges: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def run(self, program: LoopProgram, b: ProgramBindings) -> None:
         edges = self._edges.get(id(program))
         if edges is None:
             edges = self._edges[id(program)] = program.edges()
+        pool = self.pool
         finals: list[PoolTask] = []
         for i, step in enumerate(program.steps):
             deps = [finals[j] for j in edges[i]]
             if isinstance(step, ExchangeStep):
-                finals.append(
-                    self.pool.submit_after(
-                        lambda s=step: b.exchange(s), deps, loop=s_label(step)
-                    )
-                )
+                final = pool.submit_after(lambda s=step: b.exchange(s), deps, loop=step.label)
             else:
-                finals.append(self._schedule_loop(step, b, deps))
+                space = self._space(step, b)
+                if space.classes:
+                    chunks = space.split(CHUNKER, pool.num_workers)
+                    _tasks, final = submit_loop(
+                        pool, b.loops[step.name], chunks, "vectorized", deps, b.recorder
+                    )
+                else:
+                    final = pool.gate(deps, loop=step.label)
+            finals.append(final)
         # One join per timestep: the program's tail steps (and, transitively,
         # everything else) must be done before the next program instance is
         # scheduled against the same storage.
-        self.pool.wait_all(finals, loop=program.name)
-
-    def _schedule_loop(
-        self, step: LoopStep, b: ProgramBindings, deps: list[PoolTask]
-    ) -> PoolTask:
-        pool = self.pool
-        rec = b.recorder
-        loop = b.loops[step.name]
-        colors = self._chunked.chunks(step, loop, b)
-        if not colors:
-            return pool.gate(deps, loop=step.label)
-        t0 = rec.now() if rec is not None else 0.0
-        prev: list[PoolTask] = deps
-        all_tasks: list[PoolTask] = []
-        ncolors = 0
-        ntasks = 0
-        for ci, chunks in colors:
-            ncolors += 1
-            tasks = [
-                pool.submit_after(
-                    lambda c=c: _run_chunk(loop, c),
-                    prev,
-                    loop=step.name,
-                    color=ci,
-                    index=k,
-                )
-                for k, c in enumerate(chunks)
-            ]
-            all_tasks.extend(tasks)
-            ntasks += len(tasks)
-            # Colors are the correctness barrier for indirect reductions;
-            # an inline gate releases the next color with no pool join.
-            prev = [pool.gate(tasks, loop=step.name, color=ci)]
-
-        def finalize() -> None:
-            partials: list = []
-            for task in all_tasks:
-                partials.extend(task.value())
-            apply_global_partials(partials)
-            bump_written_versions(loop)
-            if rec is not None:
-                end = rec.now()
-                _count, task_s = rec.take_task_totals(step.name)
-                rec.record_loop(
-                    step.name, end - t0, ncolors, ntasks, task_s
-                )
-
-        return pool.submit_after(
-            finalize, prev, loop=f"{step.label}.fin", inline=True
-        )
-
-
-def s_label(step: Step) -> str:
-    return step.label
+        pool.wait_all(finals, loop=program.name)
 
 
 def make_executor(

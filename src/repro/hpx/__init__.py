@@ -27,7 +27,6 @@ from repro.hpx.policies import ExecutionPolicy, seq, par, par_task
 from repro.hpx.chunking import (
     AutoPartitioner,
     StaticChunkSize,
-    DynamicChunkSize,
     GuessChunkSize,
 )
 from repro.hpx.parallel import for_each, for_loop, transform, reduce_
@@ -48,7 +47,6 @@ __all__ = [
     "par_task",
     "AutoPartitioner",
     "StaticChunkSize",
-    "DynamicChunkSize",
     "GuessChunkSize",
     "for_each",
     "for_loop",

@@ -8,8 +8,6 @@ Mirrors HPX's chunk-size machinery (paper §III-A1):
   scalability liability the paper calls out for large loops (Fig 16).
 - :class:`StaticChunkSize` — ``hpx::execution::static_chunk_size(n)``; fixed
   grain, no measurement prefix (paper Fig 7).
-- :class:`DynamicChunkSize` — fixed grain but handed out on demand
-  (self-scheduling); identical decomposition, different scheduling hint.
 - :class:`GuessChunkSize` — divide evenly, one chunk per worker per round.
 """
 
@@ -43,10 +41,6 @@ class Chunk:
 
 class Chunker(ABC):
     """Strategy object that splits ``n`` iterations for ``num_workers``."""
-
-    #: Whether chunks should be handed out on demand (self-scheduling) rather
-    #: than pre-assigned. Only a scheduling hint; decomposition is identical.
-    dynamic: bool = False
 
     @abstractmethod
     def chunks(self, n: int, num_workers: int) -> list[Chunk]:
@@ -91,15 +85,6 @@ class StaticChunkSize(Chunker):
 
     def describe(self) -> str:
         return f"static_chunk_size({self.size})"
-
-
-class DynamicChunkSize(StaticChunkSize):
-    """Fixed grain handed out on demand (OpenMP ``schedule(dynamic)`` flavor)."""
-
-    dynamic = True
-
-    def describe(self) -> str:
-        return f"dynamic_chunk_size({self.size})"
 
 
 class GuessChunkSize(Chunker):

@@ -154,8 +154,15 @@ class TraceRecorder:
         task_time: float = 0.0,
         prefix_time: float = 0.0,
         fold_time: float = 0.0,
+        latency: float | None = None,
     ) -> None:
         """Fold one completed loop into the per-kernel aggregates.
+
+        ``wall`` is the loop's time from its first chunk start to now, and
+        ``latency`` (default ``wall``) its time since submission. The
+        observed span starts at the earliest first-chunk start: under
+        dependency scheduling, the first loop to finish need not be the
+        first to start.
 
         Thread-safe: under dependency scheduling the caller is the loop's
         inline *finalizer* task, which runs on whichever worker completed
@@ -165,9 +172,9 @@ class TraceRecorder:
             kt = self.kernels.get(name)
             if kt is None:
                 kt = self.kernels[name] = KernelTiming(name)
-            kt.add(wall, ncolors, ntasks, task_time, prefix_time, fold_time)
+            kt.add(wall, ncolors, ntasks, task_time, prefix_time, fold_time, latency)
             end = self.now()
-            if self._first is None:
+            if self._first is None or end - wall < self._first:
                 self._first = end - wall
             self._last = end
 

@@ -19,15 +19,19 @@ from repro.util.tables import Table
 class KernelTiming:
     """Aggregated wall-clock behaviour of one kernel across its invocations.
 
-    Times are in seconds. ``total``/``min``/``max`` measure the orchestrating
-    thread's per-loop wall time (color barriers included); ``task_time`` sums
-    the worker-side execution time of every pool task the kernel spawned, so
+    Times are in seconds. ``total``/``min``/``max`` measure each
+    invocation from its first chunk start to its finalizer end (color
+    barriers included); ``latency`` from the invocation's submission to its
+    finalizer end, so it also holds the time a dependency-scheduled loop
+    waited for its predecessors. ``task_time`` sums the worker-side
+    execution time of every pool task the kernel spawned, so
     ``task_time / total`` approximates the kernel's effective parallelism.
     """
 
     name: str
     count: int = 0
     total: float = 0.0
+    latency: float = 0.0
     min: float = math.inf
     max: float = 0.0
     colors: int = 0
@@ -44,9 +48,11 @@ class KernelTiming:
         task_time: float = 0.0,
         prefix_time: float = 0.0,
         fold_time: float = 0.0,
+        latency: float | None = None,
     ) -> None:
         self.count += 1
         self.total += wall
+        self.latency += wall if latency is None else latency
         self.min = wall if wall < self.min else self.min
         self.max = wall if wall > self.max else self.max
         self.colors = max(self.colors, ncolors)
@@ -104,6 +110,7 @@ class TimingSummary:
                 "kernel",
                 "count",
                 "total ms",
+                "latency ms",
                 "avg ms",
                 "min ms",
                 "max ms",
@@ -120,6 +127,7 @@ class TimingSummary:
                     kt.name,
                     kt.count,
                     kt.total * 1e3,
+                    kt.latency * 1e3,
                     kt.mean * 1e3,
                     (0.0 if kt.count == 0 else kt.min) * 1e3,
                     kt.max * 1e3,

@@ -171,6 +171,7 @@ class ProcsResult:
                     merged[name] = m = KernelTiming(name)
                 m.count += kt.count
                 m.total += kt.total
+                m.latency += kt.latency
                 m.min = min(m.min, kt.min)
                 m.max = max(m.max, kt.max)
                 m.colors = max(m.colors, kt.colors)

@@ -5,7 +5,6 @@ import pytest
 from repro.hpx.chunking import (
     AutoPartitioner,
     Chunk,
-    DynamicChunkSize,
     GuessChunkSize,
     StaticChunkSize,
     validate_cover,
@@ -33,21 +32,8 @@ class TestStaticChunkSize:
         with pytest.raises(ValidationError):
             StaticChunkSize(4).chunks(-1, 2)
 
-    def test_not_dynamic(self):
-        assert StaticChunkSize(4).dynamic is False
-
     def test_describe(self):
         assert StaticChunkSize(8).describe() == "static_chunk_size(8)"
-
-
-class TestDynamicChunkSize:
-    def test_same_decomposition_as_static(self):
-        s = StaticChunkSize(3).chunks(10, 2)
-        d = DynamicChunkSize(3).chunks(10, 2)
-        assert [(c.start, c.stop) for c in s] == [(c.start, c.stop) for c in d]
-
-    def test_dynamic_flag(self):
-        assert DynamicChunkSize(3).dynamic is True
 
 
 class TestGuessChunkSize:

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.airfoil import AirfoilApp
+from repro.airfoil import AirfoilApp, generate_mesh
 from repro.op2 import op2_session
 from repro.op2.exceptions import Op2Error
 
@@ -83,6 +83,29 @@ class TestThreadsTrace:
         assert res.tasks > 0 and res.task_time > 0.0
         # Dependency scheduling never dispatches fork-join batches.
         assert summary.total_tasks > 0 and summary.batches == 0
+
+    @pytest.mark.parametrize(
+        "backend", ["openmp", "foreach", "foreach_static", "hpx_async", "hpx_dataflow"]
+    )
+    def test_total_counts_only_the_loops_own_execution(self, backend):
+        """``total`` runs from a loop's first chunk start, ``latency`` from submit.
+
+        Dependency scheduling submits loops long before their chunks can
+        run; that wait is latency, not execution. A kernel's invocations on
+        ``hpx_dataflow`` are chained by data and never overlap, so their
+        summed ``total`` fits inside the observed span.
+        """
+        mesh = generate_mesh(ni=48, nj=24)
+        with op2_session(
+            backend=backend, num_threads=2, mode="threads", num_workers=2, timing=True
+        ) as rt:
+            AirfoilApp(mesh).run(rt, 4)
+        summary = rt.timing_summary()
+        for kt in summary.kernels.values():
+            assert 0.0 < kt.total <= kt.latency, kt.name
+            if backend == "hpx_dataflow":
+                assert kt.total <= summary.wall, kt.name
+        assert "latency ms" in summary.render()
 
     def test_timing_only_mode_has_no_event_stream(self, tiny_mesh, tmp_path):
         rt, _, _ = _run_airfoil(tiny_mesh, timing=True)

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from repro.hpx.chunking import (
     AutoPartitioner,
-    DynamicChunkSize,
     GuessChunkSize,
     StaticChunkSize,
     validate_cover,
@@ -12,7 +11,6 @@ from repro.hpx.chunking import (
 
 chunkers = st.one_of(
     st.builds(StaticChunkSize, st.integers(1, 100)),
-    st.builds(DynamicChunkSize, st.integers(1, 100)),
     st.builds(GuessChunkSize),
     st.builds(
         AutoPartitioner,

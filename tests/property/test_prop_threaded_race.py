@@ -7,21 +7,25 @@ invariants checked here over hypothesis-generated meshes:
 1. no two blocks sharing a color write to a common target row through *any*
    indirect-reduction map argument (multiple maps and multiple target dats
    included);
-2. the chunker/span machinery hands each pool task a disjoint slice of the
-   color class — spans tile the class's elements exactly, so concurrent
-   direct writes never overlap either.
+2. the loop-task core's decomposition (:class:`LoopSpace`) hands each pool
+   task a disjoint part of the color class — over the whole set or a sorted
+   subset, the chunks' ``execute_loop`` runs tile the space exactly, so
+   concurrent direct writes never overlap either, and same-color chunks
+   increment disjoint rows.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.backends.threaded import chunk_spans
+from repro.backends.threaded import LoopSpace
 from repro.hpx.chunking import (
     AutoPartitioner,
     GuessChunkSize,
     StaticChunkSize,
 )
 from repro.op2 import OP_INC, OP_MAX, OP_MIN, OpDat, OpMap, OpSet, op_arg_dat
+from repro.op2.exceptions import PlanError
 from repro.op2.plan import build_plan
 
 REDUCTIONS = [OP_INC, OP_MIN, OP_MAX]
@@ -83,30 +87,37 @@ def test_same_color_blocks_write_disjoint_rows(world, block_size):
                 )
 
 
+CHUNKERS = {
+    "guess": GuessChunkSize(),
+    "static": StaticChunkSize(2),
+    "auto": AutoPartitioner(),
+}
+
+
+def _run_elements(run) -> list[int]:
+    """Element ids one ``execute_loop`` call of a chunk covers."""
+    if isinstance(run, slice):
+        return list(range(run.start, run.stop))
+    return [int(e) for e in run]
+
+
 @given(
     reduction_world(),
     st.integers(1, 24),
     st.integers(1, 8),
-    st.sampled_from(["guess", "static", "auto"]),
+    st.sampled_from(sorted(CHUNKERS)),
 )
 def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind):
-    """Pool tasks receive disjoint element spans covering the class exactly."""
+    """Pool tasks receive disjoint element runs covering the class exactly."""
     from_set, maps, args = world
     plan = build_plan(from_set, args, block_size=block_size)
-    chunker = {
-        "guess": GuessChunkSize(),
-        "static": StaticChunkSize(2),
-        "auto": AutoPartitioner(),
-    }[kind]
-    for cls in plan.classes:
-        if not cls:
-            continue
-        chunks = chunker.chunks(len(cls), workers)
+    for color_chunks in LoopSpace(plan).split(CHUNKERS[kind], workers):
+        cls = plan.classes[color_chunks[0].color]
         elements: list[int] = []
-        for chunk in chunks:
-            for span in chunk_spans(plan, list(cls), chunk):
-                assert span.stop > span.start
-                elements.extend(range(span.start, span.stop))
+        for chunk in color_chunks:
+            for run in chunk.runs:
+                assert run.stop > run.start
+                elements.extend(_run_elements(run))
         expected = sorted(
             e
             for b in cls
@@ -115,6 +126,72 @@ def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind):
         # Tiling (no element lost) + disjointness (no element duplicated).
         assert sorted(elements) == expected
         assert len(elements) == len(set(elements))
+
+
+@st.composite
+def sorted_subsets(draw, n: int):
+    """``None`` (the whole set) or a sorted subset, empty and single included."""
+    ids = st.integers(0, n - 1)
+    subset = draw(
+        st.one_of(
+            st.none(),
+            st.just([]),
+            st.lists(ids, min_size=1, max_size=1),
+            st.sets(ids),
+        )
+    )
+    return None if subset is None else np.array(sorted(subset), dtype=np.int64)
+
+
+@given(st.data(), reduction_world(), st.integers(1, 24), st.integers(1, 8))
+def test_decomposition_of_set_or_subset(data, world, block_size, workers):
+    """The core's decomposition, over the whole set or a sorted subset:
+
+    every element runs exactly once, same-color chunks increment disjoint
+    rows, and the same inputs always give the identical decomposition.
+    """
+    from_set, maps, args = world
+    kind = data.draw(st.sampled_from(sorted(CHUNKERS)))
+    subset = data.draw(sorted_subsets(from_set.size))
+    plan = build_plan(from_set, args, block_size=block_size)
+    reduction_args = [a for a in args if a.is_indirect and a.access.is_reduction]
+
+    colors = LoopSpace(plan, subset).split(CHUNKERS[kind], workers)
+    ran: list[int] = []
+    for color_chunks in colors:
+        written: list[set[tuple[str, int]]] = []
+        for chunk in color_chunks:
+            assert all(plan.colors[b] == chunk.color for b in chunk.blocks)
+            rows: set[tuple[str, int]] = set()
+            for run in chunk.runs:
+                elements = _run_elements(run)
+                assert elements, "a chunk must not make an empty call"
+                ran.extend(elements)
+                for arg in reduction_args:
+                    col = arg.map_.values[elements, arg.idx]
+                    rows |= {(arg.dat.name, int(r)) for r in col}
+            written.append(rows)
+        for i in range(len(written)):
+            for j in range(i + 1, len(written)):
+                assert not (written[i] & written[j])
+    expected = list(range(from_set.size)) if subset is None else subset.tolist()
+    assert sorted(ran) == expected
+    assert len(ran) == len(set(ran))
+
+    again = LoopSpace(plan, subset).split(CHUNKERS[kind], workers)
+    assert [[(c.color, c.index, c.blocks) for c in cs] for cs in again] == [
+        [(c.color, c.index, c.blocks) for c in cs] for cs in colors
+    ]
+    for cs_a, cs_b in zip(again, colors):
+        for a, b in zip(cs_a, cs_b):
+            assert [_run_elements(r) for r in a.runs] == [_run_elements(r) for r in b.runs]
+
+
+def test_unsorted_subset_is_rejected():
+    """Subset runs are cut by binary search, so the subset must be sorted."""
+    plan = build_plan(OpSet("iter", 8), [], block_size=2)
+    with pytest.raises(PlanError, match="sorted"):
+        LoopSpace(plan, np.array([5, 1]))
 
 
 @given(reduction_world(), st.integers(1, 24))
