@@ -10,6 +10,7 @@ Run:  python examples/scaling_comparison.py [--quick]
 """
 
 import argparse
+import time
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
@@ -19,7 +20,6 @@ from repro.experiments.figures import (
     render_figure,
 )
 from repro.experiments.report import claim_check
-from repro.util.timing import WallTimer
 
 
 def main() -> None:
@@ -41,10 +41,11 @@ def main() -> None:
         f"threads {config.threads}\n"
     )
 
-    with WallTimer() as t:
-        f15 = fig15_exec_time(config)
-        f17 = fig17_async(config)
-        f18 = fig18_dataflow(config)
+    start = time.perf_counter()
+    f15 = fig15_exec_time(config)
+    f17 = fig17_async(config)
+    f18 = fig18_dataflow(config)
+    elapsed = time.perf_counter() - start
 
     for fig in (f15, f17, f18):
         print(render_figure(fig))
@@ -53,7 +54,7 @@ def main() -> None:
     report = claim_check(fig15=f15, fig17=f17, fig18=f18)
     print("paper-claim check:")
     print(report.render())
-    print(f"\nall claims hold: {report.all_hold}   ({t.elapsed:.1f}s)")
+    print(f"\nall claims hold: {report.all_hold}   ({elapsed:.1f}s)")
 
 
 if __name__ == "__main__":

@@ -162,6 +162,20 @@ def apply_global_partials(partials: list[tuple[Arg, np.ndarray]]) -> None:
             np.maximum(gbl.data, part, out=gbl.data)
 
 
+def bump_written_versions(loop: ParLoop) -> None:
+    """Bump the version of each *distinct* written dat exactly once.
+
+    A dat passed through two args of one loop (e.g. ``res`` via two map
+    columns) must not be double-bumped: dependence invalidation counts
+    writes per loop, not per argument.
+    """
+    seen: set[int] = set()
+    for arg in loop.args:
+        if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
+            seen.add(id(arg.dat))
+            arg.dat.bump_version()
+
+
 def execute_loop(
     loop: ParLoop,
     elements: np.ndarray | slice | None = None,
@@ -210,13 +224,7 @@ def execute_loop(
 
     scatter_args(writebacks, global_sink=global_sink)
     if bump_versions:
-        # Once per distinct dat: a dat named by two writing args of one loop
-        # (res through two map columns) is still a single write event.
-        seen: set[int] = set()
-        for arg in loop.args:
-            if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
-                seen.add(id(arg.dat))
-                arg.dat.bump_version()
+        bump_written_versions(loop)
 
 
 def execute_loop_by_plan(loop: ParLoop, plan: "Plan", mode: str = "vectorized") -> None:

@@ -59,20 +59,6 @@ class LoopCostModel:
         )
         return dilated * float(self._jitter_factors(loop_name, plan.nblocks)[block])
 
-    def loop_work(
-        self,
-        loop_name: str,
-        kernel: Kernel,
-        plan: Plan,
-        machine: MachineConfig,
-        num_threads: int,
-    ) -> float:
-        """Total sequential work of a loop at ``num_threads`` (with contention)."""
-        return sum(
-            self.block_cost(loop_name, kernel, plan, b, machine, num_threads)
-            for b in range(plan.nblocks)
-        )
-
 
 def block_costs(
     cost_model: LoopCostModel,

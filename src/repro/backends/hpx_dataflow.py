@@ -22,23 +22,17 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from repro.backends.base import Backend, execute_loop
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
 from repro.backends.emission import add_gate, record_block_costs
 from repro.hpx.dataflow import dataflow
 from repro.hpx.future import Future
-from repro.op2.dat import OpDat
 from repro.op2.deps import DatDependencyTracker
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
 from repro.op2.runtime import LoopLog, LoopRecord, Op2Runtime
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
-
-# Shared with the measured scheduler; the emitter keeps this alias.
-_hazard_dats = hazard_dats
 
 
 class HpxDataflowBackend(Backend):
@@ -111,12 +105,6 @@ class HpxDataflowBackend(Backend):
 
     # -- emission ------------------------------------------------------------
 
-    def _block_deps(
-        self, producer: LoopRecord, consumer: LoopRecord, dat: OpDat
-    ) -> list[np.ndarray]:
-        """Cached consumer-block -> producer-block relation (P-independent)."""
-        return self._blockdep_cache.get(producer, consumer, dat)
-
     def emit(
         self,
         log: LoopLog,
@@ -140,13 +128,13 @@ class HpxDataflowBackend(Backend):
             fallback: set[int] = set()
             for pid in dep_ids:
                 producer = rec_by_id[pid]
-                shared = _hazard_dats(producer, rec)
+                shared = hazard_dats(producer, rec)
                 if not shared:
                     fallback.add(gate_of[pid])
                     continue
                 ptids = block_tids[pid]
                 for dat in shared:
-                    refined = self._block_deps(producer, rec, dat)
+                    refined = self._blockdep_cache.get(producer, rec, dat)
                     for b, producer_blocks in enumerate(refined):
                         if len(producer_blocks) == 0:
                             continue

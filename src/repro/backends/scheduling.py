@@ -129,7 +129,7 @@ class LoopScheduler:
         self._global_gates: dict[int, PoolTask] = {}
         #: id(dat) -> finalizer of its last writing loop (version-bump order).
         self._dat_gates: dict[int, PoolTask] = {}
-        self._block_deps = BlockDepCache()
+        self._blockdep_cache = BlockDepCache()
 
     # -- dependence analysis -------------------------------------------------
 
@@ -154,7 +154,7 @@ class LoopScheduler:
                 continue
             ptasks = handle.block_task
             for dat in shared:
-                refined = self._block_deps.get(handle.rec, rec, dat)
+                refined = self._blockdep_cache.get(handle.rec, rec, dat)
                 for b, producer_blocks in enumerate(refined):
                     if len(producer_blocks) == 0:
                         continue

@@ -30,7 +30,15 @@ class SeqBackend(Backend):
     ) -> None:
         # The sequential reference stays sequential in every mode — it is the
         # baseline both the conformance matrix and wall-clock speedups use.
-        return self.run_loop(rt, loop, plan, loop_id)
+        rec = rt.obs
+        if rec is None:
+            return self.run_loop(rt, loop, plan, loop_id)
+        t0 = rec.now()
+        self.run_functional(rt, loop, plan)
+        end = rec.now()
+        rec.span(loop.name, "loop", loop.name, t0, end, busy=True)
+        rec.record_loop(loop.name, end - t0, 1, 1)
+        return None
 
     def emit(
         self,

@@ -49,7 +49,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends.base import apply_global_partials, execute_loop
+from repro.backends.base import (
+    apply_global_partials,
+    bump_written_versions,
+    execute_loop,
+)
 from repro.hpx.chunking import Chunk, Chunker
 from repro.hpx.threadpool import PoolTask, ThreadPoolEngine
 from repro.op2.args import Arg
@@ -140,20 +144,6 @@ def run_chunk(
             loop, elements, mode=mode, global_sink=partials, bump_versions=False
         )
     return start, partials
-
-
-def bump_written_versions(loop: ParLoop) -> None:
-    """Bump the version of each *distinct* written dat exactly once.
-
-    A dat passed through two args of one loop (e.g. ``res`` via two map
-    columns) must not be double-bumped: dependence invalidation counts
-    writes per loop, not per argument.
-    """
-    seen: set[int] = set()
-    for arg in loop.args:
-        if not arg.is_global and arg.access.writes and id(arg.dat) not in seen:
-            seen.add(id(arg.dat))
-            arg.dat.bump_version()
 
 
 def finish_loop(

@@ -86,11 +86,3 @@ class HaloExchange:
             "bytes_updated": self.bytes_updated,
             "bytes_accumulated": self.bytes_accumulated,
         }
-
-    def message_sizes(self, dim: int, itemsize: int = 8) -> dict[tuple[int, int], int]:
-        """Bytes per (sender, receiver) message for a dat of ``dim`` values."""
-        out: dict[tuple[int, int], int] = {}
-        for s, rp in enumerate(self.plan.plans):
-            for r, import_idx in rp.imports.items():
-                out[(r, s)] = len(import_idx) * dim * itemsize
-        return out

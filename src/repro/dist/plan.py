@@ -71,9 +71,6 @@ class RankPlan:
     def n_halo(self) -> int:
         return len(self.halo_cells)
 
-    def neighbors(self) -> list[int]:
-        return sorted(set(self.exports) | set(self.imports))
-
 
 @dataclass
 class DistPlan:

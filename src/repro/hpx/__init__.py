@@ -8,7 +8,7 @@ This subpackage mirrors the slice of HPX used by the paper:
   returning a future (paper Fig 8).
 - :func:`~repro.hpx.dataflow.dataflow` — delayed invocation until all future
   arguments are ready (paper §III-B, Figs 11–12).
-- :mod:`~repro.hpx.parallel` — ``for_each``-style parallel algorithms with
+- :func:`~repro.hpx.parallel.for_each` — the parallel algorithm under
   execution policies ``seq`` / ``par`` / ``par(task)`` (paper §III-A).
 - :mod:`~repro.hpx.chunking` — HPX's auto-partitioner and static chunk sizes
   (paper Figs 6–7).
@@ -29,10 +29,9 @@ from repro.hpx.chunking import (
     StaticChunkSize,
     GuessChunkSize,
 )
-from repro.hpx.parallel import for_each, for_loop, transform, reduce_
+from repro.hpx.parallel import for_each
 from repro.hpx.dataflow import dataflow, unwrapped
 from repro.hpx.runtime import HPXRuntime, async_, get_runtime, set_runtime
-from repro.hpx.sync import Latch, Barrier, CountingSemaphore
 
 __all__ = [
     "Future",
@@ -49,16 +48,10 @@ __all__ = [
     "StaticChunkSize",
     "GuessChunkSize",
     "for_each",
-    "for_loop",
-    "transform",
-    "reduce_",
     "dataflow",
     "unwrapped",
     "HPXRuntime",
     "async_",
     "get_runtime",
     "set_runtime",
-    "Latch",
-    "Barrier",
-    "CountingSemaphore",
 ]

@@ -178,8 +178,5 @@ class TaskExecutor:
                         )
         return cancelled
 
-    def reset_stats(self) -> None:
-        self.stats.reset(self.num_workers)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TaskExecutor workers={self.num_workers} pending={self.pending()}>"

@@ -112,12 +112,6 @@ class RuntimeConfig:
         """Rank-process count for ``mode='procs'`` (``None`` -> ``default``)."""
         return int(self.num_ranks) if self.num_ranks is not None else int(default)
 
-    def resolve_threads_per_rank(self, default: int = 1) -> int:
-        """Per-rank pool width for ``mode='procs'`` (``None`` -> ``default``)."""
-        if self.threads_per_rank is not None:
-            return int(self.threads_per_rank)
-        return int(default)
-
     @property
     def observing(self) -> bool:
         """True when the runtime should carry a wall-clock recorder."""

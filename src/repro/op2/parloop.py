@@ -58,15 +58,6 @@ class ParLoop:
         """Needs plan coloring: increments through a map."""
         return any(a.is_indirect and a.access.is_reduction for a in self.args)
 
-    def dats_read(self) -> list:
-        return [a.dat for a in self.args if a.access.reads]
-
-    def dats_written(self) -> list:
-        return [a.dat for a in self.args if a.access.writes]
-
-    def global_reductions(self) -> list[Arg]:
-        return [a for a in self.args if a.is_global and a.access.is_reduction]
-
     def describe(self) -> str:
         kind = "direct" if self.is_direct else "indirect"
         args = ", ".join(a.describe() for a in self.args)

@@ -40,20 +40,6 @@ def contiguous_blocks(set_size: int, block_size: int) -> list[Block]:
     return blocks
 
 
-def balanced_blocks(set_size: int, num_blocks: int) -> list[Block]:
-    """Split into exactly ``num_blocks`` near-equal contiguous blocks."""
-    if num_blocks < 1:
-        raise PlanError(f"num_blocks must be >= 1, got {num_blocks}")
-    if set_size < 0:
-        raise PlanError(f"set_size must be >= 0, got {set_size}")
-    bounds = np.linspace(0, set_size, num_blocks + 1).astype(np.int64)
-    return [
-        Block(i, int(bounds[i]), int(bounds[i + 1]))
-        for i in range(num_blocks)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
 def validate_blocks(blocks: list[Block], set_size: int) -> None:
     """Raise unless ``blocks`` exactly tile ``[0, set_size)`` in order."""
     pos = 0
@@ -63,27 +49,3 @@ def validate_blocks(blocks: list[Block], set_size: int) -> None:
         pos = b.stop
     if pos != set_size:
         raise PlanError(f"blocks cover [0, {pos}), expected [0, {set_size})")
-
-
-def block_of_element(blocks: list[Block], element: int) -> int:
-    """Index of the block containing ``element`` (blocks must tile the set)."""
-    lo, hi = 0, len(blocks) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        b = blocks[mid]
-        if element < b.start:
-            hi = mid - 1
-        elif element >= b.stop:
-            lo = mid + 1
-        else:
-            return mid
-    raise PlanError(f"element {element} not covered by blocks")
-
-
-def imbalance(blocks: list[Block]) -> float:
-    """Max block length over mean block length (1.0 = perfectly even)."""
-    if not blocks:
-        return 1.0
-    lengths = [len(b) for b in blocks]
-    mean = sum(lengths) / len(lengths)
-    return max(lengths) / mean if mean else 1.0

@@ -38,12 +38,6 @@ class SimResult:
     tasks_executed: int
     steals: int
 
-    def speedup_bound(self) -> float:
-        """Upper bound on useful parallelism (work / critical path)."""
-        if self.critical_path == 0.0:
-            return float("inf")
-        return self.total_work / self.critical_path
-
 
 class SimulationEngine:
     """Event-driven simulator for one (graph, machine, threads) triple."""

@@ -52,28 +52,3 @@ def overhead_breakdown(result: SimResult) -> dict[str, float]:
     out = {kind: t / span for kind, t in sorted(by_kind.items())}
     out["idle"] = max(0.0, 1.0 - sum(out.values()))
     return out
-
-
-def crossover_point(
-    xs: Sequence[float], ys_a: Sequence[float], ys_b: Sequence[float]
-) -> float | None:
-    """x where series a first overtakes series b (linear interpolation).
-
-    Returns None when a never overtakes b on the sampled range. Used by the
-    experiment reports to locate where async/dataflow pull ahead of OpenMP.
-    """
-    if not (len(xs) == len(ys_a) == len(ys_b)):
-        raise ValidationError("series must have equal length")
-    prev_diff = None
-    for i, x in enumerate(xs):
-        diff = ys_a[i] - ys_b[i]
-        if diff > 0 and prev_diff is not None and prev_diff <= 0:
-            x0, x1 = xs[i - 1], x
-            d0, d1 = prev_diff, diff
-            if d1 == d0:
-                return float(x)
-            return float(x0 + (x1 - x0) * (-d0) / (d1 - d0))
-        if diff > 0 and prev_diff is None:
-            return float(x)
-        prev_diff = diff
-    return None

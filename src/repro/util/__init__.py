@@ -1,12 +1,10 @@
-"""Shared utilities: seeded RNG, table rendering, timing, validation helpers."""
+"""Shared utilities: seeded RNG, table rendering, validation helpers."""
 
 from repro.util.rng import seeded_rng, derive_seed
-from repro.util.tables import Table, format_series, ascii_plot
-from repro.util.timing import WallTimer
+from repro.util.tables import Table, ascii_plot
 from repro.util.validate import (
     check_positive,
     check_in_range,
-    check_type,
     ReproError,
     ValidationError,
 )
@@ -15,12 +13,9 @@ __all__ = [
     "seeded_rng",
     "derive_seed",
     "Table",
-    "format_series",
     "ascii_plot",
-    "WallTimer",
     "check_positive",
     "check_in_range",
-    "check_type",
     "ReproError",
     "ValidationError",
 ]

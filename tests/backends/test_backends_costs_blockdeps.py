@@ -62,8 +62,8 @@ class TestLoopCostModel:
         rec = find_loop(log, "update")  # mem_fraction 0.8
         m = paper_machine()
         cm = LoopCostModel(jitter=0.0)
-        low = cm.loop_work("update", rec.loop.kernel, rec.plan, m, 4)
-        high = cm.loop_work("update", rec.loop.kernel, rec.plan, m, 16)
+        low = sum(block_costs(cm, "update", rec.loop.kernel, rec.plan, m, 4))
+        high = sum(block_costs(cm, "update", rec.loop.kernel, rec.plan, m, 16))
         assert high > low
 
     def test_invalid_jitter(self):

@@ -1,6 +1,7 @@
 """Tests for translation, generated-module loading and numerics."""
 
 import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from repro.codegen import TARGETS, generate_module, translate_source
 from repro.codegen.apps import AIRFOIL_SOURCE, AirfoilContext
 from repro.codegen.parser import CodegenError
 from repro.op2 import op2_session
+
+GENERATED = Path(__file__).resolve().parents[2] / "examples" / "generated"
 
 SIMPLE = """
 def run(ctx):
@@ -38,6 +41,14 @@ class TestTranslateSource:
     def test_unknown_target_rejected(self):
         with pytest.raises(CodegenError, match="unknown target"):
             translate_source(SIMPLE, "cuda")
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_matches_committed_example(self, target):
+        # The shipped examples/generated/ modules are the translator's
+        # output; any drift in the translator must show up here.
+        text, _ = translate_source(AIRFOIL_SOURCE, target)
+        committed = (GENERATED / f"airfoil_{target}.py").read_bytes()
+        assert text.encode() == committed
 
     def test_no_loops_rejected(self):
         with pytest.raises(CodegenError, match="no op_par_loop"):

@@ -107,14 +107,6 @@ class TestStats:
         assert ex.stats.tasks_executed == 5
         assert sum(ex.stats.per_worker_executed) == 5
 
-    def test_reset_stats(self):
-        ex = TaskExecutor(2)
-        ex.post(lambda: None)
-        ex.drain()
-        ex.reset_stats()
-        assert ex.stats.tasks_executed == 0
-        assert ex.stats.tasks_spawned == 0
-
     def test_max_queue_depth_observed(self):
         ex = TaskExecutor(1)
         for _ in range(7):

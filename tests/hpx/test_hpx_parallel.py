@@ -1,10 +1,10 @@
-"""Tests for repro.hpx.parallel algorithms."""
+"""Tests for repro.hpx.parallel.for_each."""
 
 import pytest
 
 from repro.hpx.chunking import AutoPartitioner, StaticChunkSize
 from repro.hpx.future import Future
-from repro.hpx.parallel import for_each, for_loop, reduce_, transform
+from repro.hpx.parallel import for_each
 from repro.hpx.policies import par, par_task, seq
 
 
@@ -65,63 +65,6 @@ class TestForEach:
         with pytest.raises(ValueError, match="bad element"):
             for_each(par, range(5), body)
 
-
-class TestForLoop:
-    def test_range_offsets(self, hpx_rt):
-        seen = []
-        for_loop(par, 10, 15, seen.append)
-        assert sorted(seen) == [10, 11, 12, 13, 14]
-
-    def test_empty_interval(self, hpx_rt):
-        for_loop(par, 5, 5, lambda i: pytest.fail("must not run"))
-
     def test_seq_task_flavor_returns_ready_future(self, hpx_rt):
         fut = for_each(par_task.with_(StaticChunkSize(2)), range(4), lambda i: None)
         assert fut.get() is None
-
-
-class TestTransform:
-    def test_order_preserved(self, hpx_rt):
-        assert transform(par, [1, 2, 3, 4], lambda v: v * 10) == [10, 20, 30, 40]
-
-    def test_seq(self, hpx_rt):
-        assert transform(seq, [1, 2], str) == ["1", "2"]
-
-    def test_task_flavor(self, hpx_rt):
-        fut = transform(par_task, [3, 1], lambda v: -v)
-        assert fut.get() == [-3, -1]
-
-    def test_empty(self, hpx_rt):
-        assert transform(par, [], lambda v: v) == []
-
-
-class TestReduce:
-    def test_sum(self, hpx_rt):
-        assert reduce_(par, list(range(100)), lambda a, b: a + b, 0) == 4950
-
-    def test_seq_matches_par(self, hpx_rt):
-        items = [3, 1, 4, 1, 5, 9, 2, 6]
-        assert reduce_(seq, items, lambda a, b: a + b, 0) == reduce_(
-            par, items, lambda a, b: a + b, 0
-        )
-
-    def test_non_commutative_associative_op(self, hpx_rt):
-        # String concatenation: associative, not commutative. Chunk ordering
-        # must preserve the sequential fold.
-        items = list("abcdefghijk")
-        assert reduce_(par, items, lambda a, b: a + b, "") == "abcdefghijk"
-
-    def test_non_commutative_with_prefix_chunker(self, hpx_rt):
-        items = list("abcdefghijklmnopqrstuvwxyz") * 8
-        got = reduce_(par.with_(AutoPartitioner()), items, lambda a, b: a + b, "")
-        assert got == "".join(items)
-
-    def test_task_flavor(self, hpx_rt):
-        fut = reduce_(par_task, [1, 2, 3], lambda a, b: a + b, 10)
-        assert fut.get() == 16
-
-    def test_empty_returns_init(self, hpx_rt):
-        assert reduce_(par, [], lambda a, b: a + b, 99) == 99
-
-    def test_seq_task(self, hpx_rt):
-        assert reduce_(par_task, [], lambda a, b: a + b, 5).get() == 5

@@ -1,8 +1,4 @@
-"""Smoke tests: every example script runs to completion offline.
-
-`scaling_comparison.py` is exercised by the figure tests/benches instead —
-even its --quick mode is too heavy for the unit suite.
-"""
+"""Smoke tests: every example script runs to completion offline."""
 
 import subprocess
 import sys
@@ -20,6 +16,7 @@ CASES = [
     ("trace_gantt.py", []),
     ("distributed_airfoil.py", ["--ranks", "2", "--ni", "24", "--nj", "12", "--iters", "2"]),
     ("shallow_water_waves.py", ["--ni", "24", "--nj", "12", "--steps", "12"]),
+    ("scaling_comparison.py", ["--quick"]),
 ]
 
 
@@ -36,8 +33,7 @@ def test_example_runs(script, args):
 
 
 def test_all_examples_covered():
-    """Every example script is either smoke-tested here or exempted."""
-    exempt = {"scaling_comparison.py"}
+    """Every example script is smoke-tested here."""
     scripts = {p.name for p in EXAMPLES.glob("*.py")}
-    covered = {c[0] for c in CASES} | exempt
+    covered = {c[0] for c in CASES}
     assert scripts == covered, f"unaccounted examples: {scripts ^ covered}"

@@ -17,6 +17,7 @@ from repro.op2.exceptions import Op2Error
 
 NITER = 2
 STATE_DATS = ["p_q", "p_qold", "p_res", "p_adt"]
+AIRFOIL_KERNELS = {"save_soln", "adt_calc", "res_calc", "bres_calc", "update"}
 
 
 def _run_airfoil(mesh, **session_kwargs):
@@ -85,7 +86,8 @@ class TestThreadsTrace:
         assert summary.total_tasks > 0 and summary.batches == 0
 
     @pytest.mark.parametrize(
-        "backend", ["openmp", "foreach", "foreach_static", "hpx_async", "hpx_dataflow"]
+        "backend",
+        ["seq", "openmp", "foreach", "foreach_static", "hpx_async", "hpx_dataflow"],
     )
     def test_total_counts_only_the_loops_own_execution(self, backend):
         """``total`` runs from a loop's first chunk start, ``latency`` from submit.
@@ -93,7 +95,8 @@ class TestThreadsTrace:
         Dependency scheduling submits loops long before their chunks can
         run; that wait is latency, not execution. A kernel's invocations on
         ``hpx_dataflow`` are chained by data and never overlap, so their
-        summed ``total`` fits inside the observed span.
+        summed ``total`` fits inside the observed span. Every backend,
+        ``seq`` included, reports a row for each Airfoil kernel.
         """
         mesh = generate_mesh(ni=48, nj=24)
         with op2_session(
@@ -101,6 +104,7 @@ class TestThreadsTrace:
         ) as rt:
             AirfoilApp(mesh).run(rt, 4)
         summary = rt.timing_summary()
+        assert AIRFOIL_KERNELS <= set(summary.kernels), sorted(summary.kernels)
         for kt in summary.kernels.values():
             assert 0.0 < kt.total <= kt.latency, kt.name
             if backend == "hpx_dataflow":

@@ -146,7 +146,6 @@ class TestResultFields:
         assert res.tasks_executed == 3
         assert res.total_work == pytest.approx(3.0)
         assert res.critical_path == pytest.approx(3.0)
-        assert res.speedup_bound() == pytest.approx(1.0)
 
     def test_trace_collected_on_request(self):
         g = chain([1.0, 1.0])

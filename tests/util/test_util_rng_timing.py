@@ -1,9 +1,6 @@
-"""Tests for repro.util.rng and repro.util.timing."""
-
-import time
+"""Tests for repro.util.rng."""
 
 from repro.util.rng import DEFAULT_SEED, derive_seed, seeded_rng
-from repro.util.timing import WallTimer
 
 
 class TestSeededRng:
@@ -36,23 +33,3 @@ class TestDeriveSeed:
 
     def test_result_fits_in_64_bits(self):
         assert 0 <= derive_seed(123, "x") < 2**64
-
-
-class TestWallTimer:
-    def test_measures_elapsed(self):
-        with WallTimer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_lap_monotonic(self):
-        with WallTimer() as t:
-            first = t.lap()
-            second = t.lap()
-        assert second >= first >= 0.0
-
-    def test_restart_resets_origin(self):
-        with WallTimer() as t:
-            time.sleep(0.01)
-            t.restart()
-            lap = t.lap()
-        assert lap < 0.01

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import Table, ascii_plot, format_series
+from repro.util.tables import Table, ascii_plot
 
 
 class TestTable:
@@ -45,13 +45,6 @@ class TestTable:
         t = Table(["a"])
         t.add_row([1])
         assert str(t) == t.render()
-
-
-class TestFormatSeries:
-    def test_pairs_rendered(self):
-        s = format_series("omp", [1, 2], [10.0, 5.0])
-        assert s.startswith("omp:")
-        assert "1:10" in s and "2:5" in s
 
 
 class TestAsciiPlot:

@@ -7,25 +7,10 @@ from repro.util.validate import (
     ValidationError,
     check_in_range,
     check_positive,
-    check_type,
 )
 
 
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        check_type("x", 3, int)
-
-    def test_accepts_tuple_of_types(self):
-        check_type("x", 3.0, (int, float))
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(ValidationError, match="x must be int"):
-            check_type("x", "3", int)
-
-    def test_message_names_actual_type(self):
-        with pytest.raises(ValidationError, match="str"):
-            check_type("x", "3", int)
-
+class TestValidationError:
     def test_validation_error_is_repro_error(self):
         assert issubclass(ValidationError, ReproError)
 
