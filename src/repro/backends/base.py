@@ -3,13 +3,21 @@
 Every backend ultimately runs kernels through :func:`execute_loop`:
 
 1. **gather** — for each argument, materialize a per-element batch buffer:
-   direct args view/copy rows of the dat, indirect args gather through the
-   map column, reduction args get identity-initialized buffers;
+   direct args view (slice) or ``take`` rows of the dat, indirect args
+   ``take`` the rows their map column addresses, reduction args get
+   identity-initialized buffers;
 2. **compute** — invoke the vectorized kernel on the batch (or the elemental
    kernel row by row);
-3. **scatter** — write results back: assignment for WRITE/RW, duplicate-safe
-   ``np.add.at`` for indirect increments, and associative combination for
+3. **scatter** — write results back: assignment for WRITE/RW, duplicate-free
+   *rounds* for indirect INC/MIN/MAX (round ``r`` combines the ``r``-th
+   contribution to each row, so every row sees its contributions in element
+   order, bit-identical to ``ufunc.at``), and associative combination for
    global reductions.
+
+The gather rows and scatter rounds of a map column depend only on the
+element argument, so for persistent element arguments (slices, read-only id
+arrays) they are computed once and kept on the map (:class:`Targets`,
+:func:`staged_targets`).
 
 This factorization makes the numerical result of every backend identical by
 construction; backends differ only in how the iteration space is cut up and
@@ -18,6 +26,7 @@ ordered — which is precisely the paper's experimental variable.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
@@ -38,12 +47,96 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.op2.runtime import LoopLog
 
 
-def _target_indices(arg: Arg, elements: np.ndarray | slice) -> np.ndarray | slice:
-    """Row indices of ``arg.dat`` touched by ``elements`` of the loop set."""
-    if arg.is_direct:
-        return elements
-    assert arg.map_ is not None
-    return arg.map_.values[elements, arg.idx]
+class Targets:
+    """The rows one map column addresses for one ``execute_loop`` call.
+
+    ``rows`` is the gather index, in element order. :meth:`rounds` splits the
+    call's positions into duplicate-free groups for reduction scatters:
+    round ``r`` holds the ``r``-th occurrence of every row, in element order.
+    Applying the rounds in sequence feeds each row its contributions in
+    exactly the order ``ufunc.at`` would, so results are bit-identical to it,
+    while every round is a plain ``take`` / combine / assign.
+    """
+
+    __slots__ = ("rows", "_rounds", "_owner")
+
+    def __init__(self, rows: np.ndarray, owner: weakref.ref | None = None) -> None:
+        self.rows = rows
+        self._rounds: list[tuple[np.ndarray, np.ndarray | slice]] | None = None
+        #: weak reference to the read-only element array this entry is keyed
+        #: on; its callback drops the entry when the array dies.
+        self._owner = owner
+
+    def rounds(self) -> list[tuple[np.ndarray, np.ndarray | slice]]:
+        """``(rows, positions)`` per round; computed once, then kept."""
+        if self._rounds is None:
+            self._rounds = duplicate_free_rounds(self.rows)
+        return self._rounds
+
+
+def duplicate_free_rounds(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | slice]]:
+    """Split positions ``0..n-1`` of ``rows`` into rounds of distinct rows.
+
+    Round ``r`` is ``(rows[pos], pos)`` with ``pos`` the positions holding the
+    ``r``-th occurrence of their row, ascending. With no repeated row the one
+    round is ``(rows, slice(None))``, so the scatter reads the buffer as is.
+    """
+    n = len(rows)
+    if n == 0:
+        return []
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    if first.all():
+        return [(rows, slice(None))]
+    starts = np.flatnonzero(first)
+    occurrence = np.empty(n, dtype=np.intp)
+    occurrence[order] = np.arange(n) - np.repeat(starts, np.diff(starts, append=n))
+    pos = np.argsort(occurrence, kind="stable")
+    by_round = rows[pos]
+    out = []
+    lo = 0
+    for count in np.bincount(occurrence).tolist():
+        out.append((by_round[lo : lo + count], pos[lo : lo + count]))
+        lo += count
+    return out
+
+
+def staged_targets(arg: Arg, elements: np.ndarray | slice) -> Targets:
+    """The :class:`Targets` of indirect ``arg`` for ``elements``.
+
+    Slices and read-only element arrays name persistent iteration spaces
+    (whole sets, plan blocks, the loop-task core's chunks, rank subsets), so
+    their entry is built once and kept on the map (:attr:`OpMap.staging`);
+    an entry keyed on an array lives as long as that array. A writeable
+    array is caller-owned and may change, so it gets a fresh, unkept entry.
+    """
+    m = arg.map_
+    assert m is not None
+    if isinstance(elements, slice):
+        start, stop, _ = elements.indices(m.from_set.size)
+        key: tuple = (arg.idx, start, stop)
+    elif not elements.flags.writeable:
+        key = (arg.idx, id(elements))
+    else:
+        return Targets(m.values[elements, arg.idx])
+    cache = m.staging
+    entry = cache.get(key)
+    if entry is None:
+        owner = None
+        if not isinstance(elements, slice):
+            owner = weakref.ref(elements, lambda _r: cache.pop(key, None))
+        entry = cache[key] = Targets(np.ascontiguousarray(m.values[elements, arg.idx]), owner)
+    return entry
+
+
+def _gather_rows(data: np.ndarray, tgt: Targets | np.ndarray | slice) -> np.ndarray:
+    """A private copy of the rows ``tgt`` addresses."""
+    if isinstance(tgt, slice):
+        return data[tgt].copy()
+    return data.take(tgt.rows if isinstance(tgt, Targets) else tgt, axis=0)
 
 
 def gather_args(
@@ -72,11 +165,12 @@ def gather_args(
             continue
 
         dat = arg.dat
-        tgt = _target_indices(arg, elements)
+        tgt = elements if arg.is_direct else staged_targets(arg, elements)
         if arg.access is Access.READ:
-            buf = dat.data[tgt]  # view for direct slices, copy for gathers
+            # a view for direct slices, a ``take`` copy otherwise
+            buf = dat.data[tgt] if isinstance(tgt, slice) else _gather_rows(dat.data, tgt)
         elif arg.access is Access.RW:
-            buf = np.array(dat.data[tgt])  # private copy, scattered back
+            buf = _gather_rows(dat.data, tgt)  # private copy, scattered back
         elif arg.access is Access.WRITE:
             buf = np.empty((n, dat.dim), dtype=dat.data.dtype)
         elif arg.access is Access.INC:
@@ -93,6 +187,10 @@ def gather_args(
     return buffers, writebacks
 
 
+#: combining ufunc of each dat reduction access.
+_COMBINE = {Access.INC: np.add, Access.MIN: np.minimum, Access.MAX: np.maximum}
+
+
 def scatter_args(
     writebacks: list[tuple[Arg, Any, np.ndarray]],
     global_sink: list[tuple[Arg, np.ndarray]] | None = None,
@@ -104,6 +202,10 @@ def scatter_args(
     to the sink. Threaded execution uses this to keep concurrent tasks from
     racing on globals and to combine partials in a fixed (deterministic)
     order on the calling thread.
+
+    Indirect reductions apply their :meth:`Targets.rounds` one after the
+    other, so a row reached several times in one call combines its
+    contributions in element order.
     """
     for arg, tgt, buf in writebacks:
         if arg.is_global:
@@ -124,24 +226,19 @@ def scatter_args(
             elif arg.access is Access.MAX:
                 np.maximum(gbl.data, buf.max(axis=0), out=gbl.data)
             continue
-        dat = arg.dat
+        data = arg.dat.data
         if arg.access in (Access.WRITE, Access.RW):
-            dat.data[tgt] = buf
-        elif arg.access is Access.INC:
-            if arg.is_direct:
-                dat.data[tgt] += buf  # direct: no duplicate targets possible
-            else:
-                np.add.at(dat.data, tgt, buf)
-        elif arg.access is Access.MIN:
-            if arg.is_direct:
-                np.minimum(dat.data[tgt], buf, out=dat.data[tgt])
-            else:
-                np.minimum.at(dat.data, tgt, buf)
-        elif arg.access is Access.MAX:
-            if arg.is_direct:
-                np.maximum(dat.data[tgt], buf, out=dat.data[tgt])
-            else:
-                np.maximum.at(dat.data, tgt, buf)
+            data[tgt.rows if isinstance(tgt, Targets) else tgt] = buf
+            continue
+        combine = _COMBINE[arg.access]
+        if not isinstance(tgt, Targets):
+            # direct: the call's own elements, no row repeats
+            data[tgt] = combine(data[tgt], buf)
+            continue
+        for rows, pos in tgt.rounds():
+            vals = data.take(rows, axis=0)
+            combine(vals, buf[pos] if isinstance(pos, slice) else buf.take(pos, axis=0), out=vals)
+            data[rows] = vals
 
 
 def apply_global_partials(partials: list[tuple[Arg, np.ndarray]]) -> None:
@@ -197,7 +294,8 @@ def execute_loop(
     if elements is None:
         elements = slice(0, loop.set_.size)
     if isinstance(elements, slice):
-        n = (elements.stop or loop.set_.size) - (elements.start or 0)
+        start, stop, _ = elements.indices(loop.set_.size)
+        n = max(0, stop - start)
     else:
         n = len(elements)
     if n == 0:
@@ -231,7 +329,8 @@ def execute_loop_by_plan(loop: ParLoop, plan: "Plan", mode: str = "vectorized") 
     """Execute block by block in color order (validates plan machinery)."""
     for color_class in plan.classes:
         for b in color_class:
-            execute_loop(loop, plan.block_elements(b), mode=mode)
+            blk = plan.blocks[b]
+            execute_loop(loop, slice(blk.start, blk.stop), mode=mode)
 
 
 class Backend(ABC):
@@ -276,7 +375,7 @@ class Backend(ABC):
         from repro.backends.threaded import LoopSpace, run_forkjoin
 
         run_forkjoin(
-            rt.thread_pool, loop, LoopSpace(plan), self._thread_chunker(rt),
+            rt.thread_pool, loop, LoopSpace.of(plan), self._thread_chunker(rt),
             self._exec_mode(rt), rt.obs,
         )
         return None

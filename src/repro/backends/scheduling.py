@@ -201,7 +201,7 @@ class LoopScheduler:
             for a in loop.args
             if a.access.writes
         }
-        chunks = LoopSpace(plan).split(chunker, pool.num_workers)
+        chunks = LoopSpace.of(plan).split(chunker, pool.num_workers)
         tasks, final = submit_loop(
             pool, loop, chunks, mode, fallback, self.rt.obs,
             chunk_deps=chunk_deps,

@@ -8,12 +8,14 @@ dependency-scheduled ``hpx_async``/``hpx_dataflow`` through
 
 - **decomposition** (:class:`LoopSpace`) — each color class of the plan,
   over the whole set or over a sorted subset, is split into chunks by the
-  backend's chunker. A chunk makes one ``execute_loop`` call per run of
-  adjacent blocks: a slice of the set, or the concatenated subset ids. A
-  direct loop (one color, contiguous blocks) thus turns into a handful of
-  large calls — the grain numpy needs to release the GIL for meaningful
-  stretches;
-- **chunk body** (:func:`run_chunk`) — executes those calls and returns the
+  backend's chunker. A chunk makes exactly one ``execute_loop`` call: a
+  slice when its blocks are adjacent, otherwise one read-only array of
+  their element ids. Every pool task is thus one large call — the grain
+  numpy needs to release the GIL for meaningful stretches. A space is
+  built once per (plan, subset) and keeps each static split, so loops and
+  timesteps reuse the same element arguments and, through them, the gather
+  rows and scatter rounds the maps keep for them;
+- **chunk body** (:func:`run_chunk`) — executes that call and returns the
   chunk's deferred global partials;
 - **fork-join** (:func:`run_forkjoin`) — colors in sequence, one pool batch
   per color. The auto partitioner's serial-prefix chunk runs inline on the
@@ -71,13 +73,19 @@ ChunkResult = tuple[float, list[tuple[Arg, np.ndarray]]]
 
 @dataclass(frozen=True)
 class LoopChunk:
-    """One pool task of a loop: the plan blocks it covers and its calls."""
+    """One pool task of a loop: the plan blocks it covers and its one call."""
 
     color: int
     index: int
     blocks: tuple[int, ...]
-    #: one ``execute_loop`` element argument per run of adjacent blocks.
-    runs: tuple[slice | np.ndarray, ...]
+    #: the chunk's ``execute_loop`` element argument: a slice when its blocks
+    #: are adjacent, otherwise one read-only array of their element ids.
+    elements: slice | np.ndarray
+
+    @property
+    def runs(self) -> tuple[slice | np.ndarray]:
+        """The chunk's ``execute_loop`` element arguments: always exactly one."""
+        return (self.elements,)
 
 
 class LoopSpace:
@@ -87,6 +95,11 @@ class LoopSpace:
     element ids for the whole set, positions in ``subset`` for a subset.
     :attr:`classes` keeps every color class that holds at least one element
     of the space, restricted to the blocks that do.
+
+    A space is built once per (plan, subset) — :meth:`of` for the whole set,
+    the engine executors for rank subsets — and keeps each static split, so
+    every loop and timestep reuses the same chunks, and with them the
+    element arguments the maps' staging entries are keyed on.
     """
 
     def __init__(self, plan: Plan, subset: np.ndarray | None = None) -> None:
@@ -106,43 +119,63 @@ class LoopSpace:
             live = [bi for bi in class_blocks if self.bounds[bi][1] > self.bounds[bi][0]]
             if live:
                 self.classes.append((ci, live))
+        #: (chunker.static_key(), width) -> that split, built on first use.
+        self.splits: dict[tuple, list[list[LoopChunk]]] = {}
+
+    @staticmethod
+    def of(plan: Plan) -> "LoopSpace":
+        """The plan's whole-set space, built once and kept on the plan."""
+        space = plan.derived.get("space")
+        if space is None:
+            space = plan.derived["space"] = LoopSpace(plan)
+        return space
 
     def chunk(self, color: int, index: int, blocks: Sequence[int]) -> LoopChunk:
-        """Merge ``blocks`` (one color, ascending) into runs of adjacent blocks."""
-        runs: list[list[int]] = []
-        for bi in blocks:
-            lo, hi = self.bounds[bi]
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-        if self.subset is None:
-            calls = tuple(slice(lo, hi) for lo, hi in runs)
+        """Merge ``blocks`` (one color, ascending) into one element argument."""
+        spans = [self.bounds[bi] for bi in blocks]
+        adjacent = all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        if adjacent:
+            lo, hi = spans[0][0], spans[-1][1]
+            if self.subset is None:
+                return LoopChunk(color, index, tuple(blocks), slice(lo, hi))
+            elements = self.subset[lo:hi]
+        elif self.subset is None:
+            elements = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in spans])
         else:
-            calls = tuple(self.subset[lo:hi] for lo, hi in runs)
-        return LoopChunk(color, index, tuple(blocks), calls)
+            elements = np.concatenate([self.subset[lo:hi] for lo, hi in spans])
+        elements.setflags(write=False)
+        return LoopChunk(color, index, tuple(blocks), elements)
 
     def split(self, chunker: Chunker, width: int) -> list[list[LoopChunk]]:
-        """The static decomposition: per color class, its chunks in order."""
-        return [
-            [
-                self.chunk(ci, k, blocks[c.start : c.stop])
-                for k, c in enumerate(chunker.chunks(len(blocks), width))
+        """The static decomposition: per color class, its chunks in order.
+
+        Kept per ``(chunker.static_key(), width)``; a chunker without a
+        static key gets a fresh split every call.
+        """
+        key = chunker.static_key()
+        chunks = None if key is None else self.splits.get((key, width))
+        if chunks is None:
+            chunks = [
+                [
+                    self.chunk(ci, k, blocks[c.start : c.stop])
+                    for k, c in enumerate(chunker.chunks(len(blocks), width))
+                ]
+                for ci, blocks in self.classes
             ]
-            for ci, blocks in self.classes
-        ]
+            if key is not None:
+                self.splits[(key, width)] = chunks
+        return chunks
 
 
 def run_chunk(
     loop: ParLoop, chunk: LoopChunk, mode: str, rec: "TraceRecorder | None"
 ) -> ChunkResult:
-    """Chunk body: run the chunk's calls, deferring globals and versions."""
+    """Chunk body: one ``execute_loop`` call, deferring globals and versions."""
     start = rec.now() if rec is not None else 0.0
     partials: list[tuple[Arg, np.ndarray]] = []
-    for elements in chunk.runs:
-        execute_loop(
-            loop, elements, mode=mode, global_sink=partials, bump_versions=False
-        )
+    execute_loop(
+        loop, chunk.elements, mode=mode, global_sink=partials, bump_versions=False
+    )
     return start, partials
 
 
@@ -202,7 +235,8 @@ def run_forkjoin(
     results: list[ChunkResult] = []
     ntasks = 0
     prefix_s = 0.0
-    for ci, blocks in space.classes:
+    static = space.split(chunker, pool.num_workers) if chunker.static_key() is not None else None
+    for i, (ci, blocks) in enumerate(space.classes):
         t_color = rec.now() if rec is not None else 0.0
 
         def run_prefix(c: Chunk) -> float:
@@ -224,11 +258,14 @@ def run_forkjoin(
                 )
             return elapsed
 
-        work = [
-            space.chunk(ci, k, blocks[c.start : c.stop])
-            for k, c in enumerate(chunker.split(len(blocks), pool.num_workers, run_prefix))
-            if not c.serial_prefix
-        ]
+        if static is not None:
+            work = static[i]
+        else:
+            work = [
+                space.chunk(ci, k, blocks[c.start : c.stop])
+                for k, c in enumerate(chunker.split(len(blocks), pool.num_workers, run_prefix))
+                if not c.serial_prefix
+            ]
         # run_batch returns in submission order only after every task
         # finished: the color barrier.
         results.extend(

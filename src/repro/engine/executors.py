@@ -67,6 +67,12 @@ class ProgramBindings:
     #: exact-partition validation of the subset split.
     space_sizes: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Subsets are fixed for the bindings' lifetime. Read-only views say
+        # so, which lets the maps keep their gather rows and scatter rounds
+        # (repro.backends.base.staged_targets) across timesteps.
+        self.subsets = {name: _read_only(ids) for name, ids in self.subsets.items()}
+
     def elements(self, step: LoopStep) -> np.ndarray | None:
         if step.subset is None:
             return None
@@ -113,6 +119,12 @@ class ProgramBindings:
                     f"subsets {names} do not partition space {space!r} "
                     f"of size {size}"
                 )
+
+
+def _read_only(ids: np.ndarray) -> np.ndarray:
+    view = np.asarray(ids).view()
+    view.setflags(write=False)
+    return view
 
 
 def _run_exchange(step: ExchangeStep, b: ProgramBindings) -> None:

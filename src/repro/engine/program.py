@@ -24,8 +24,9 @@ the other touches. ``incs`` tokens are commutative increments: they behave
 like writes against reads and writes, but two increments of the same token
 may commute — the async application driver exploits this to launch
 ``res_calc`` and ``bres_calc`` without a sync between them (paper Fig 10),
-while the real-thread executors keep the strict ordering (concurrent
-``np.add.at`` into shared rows is still a data race). Exchange steps
+while the real-thread executors keep the strict ordering (two concurrent
+read-combine-write scatters into shared rows are still a data race, and
+the order of increments fixes the rounding). Exchange steps
 additionally carry a per-channel token (``"chan:update"``) so successive
 exchanges of one kind serialize even when their data regions are disjoint —
 the in-flight-buffer rule of nonblocking MPI.

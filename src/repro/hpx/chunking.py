@@ -65,6 +65,14 @@ class Chunker(ABC):
     def describe(self) -> str:
         return type(self).__name__
 
+    def static_key(self) -> tuple | None:
+        """Hashable identity of a split fixed by ``(n, num_workers)`` alone.
+
+        Callers keep such splits and reuse them; ``None`` (the default)
+        marks a chunker whose split may change from call to call.
+        """
+        return None
+
 
 def _split_fixed(start: int, n: int, size: int) -> list[Chunk]:
     """Split ``[start, n)`` into chunks of ``size`` (last may be short)."""
@@ -86,6 +94,9 @@ class StaticChunkSize(Chunker):
     def describe(self) -> str:
         return f"static_chunk_size({self.size})"
 
+    def static_key(self) -> tuple:
+        return (type(self), self.size)
+
 
 class GuessChunkSize(Chunker):
     """Even split: ceil(n / workers) per chunk, one chunk per worker."""
@@ -98,6 +109,9 @@ class GuessChunkSize(Chunker):
         check_positive("num_workers", num_workers)
         size = -(-n // num_workers)  # ceil division
         return _split_fixed(0, n, size)
+
+    def static_key(self) -> tuple:
+        return (type(self),)
 
 
 class AutoPartitioner(Chunker):

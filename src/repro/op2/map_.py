@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Any
 
 import numpy as np
 
@@ -29,9 +30,13 @@ class OpMap:
     ``values`` is frozen (read-only) after construction, the uid identifies
     the map's *contents*, not just its name — plan caches key on it so two
     same-named maps with different connectivity never alias.
+
+    ``staging`` holds what execution derives from ``values`` for one column
+    and one persistent iteration space: the gather rows and the duplicate-free
+    scatter rounds (:func:`repro.backends.base.staged_targets`).
     """
 
-    __slots__ = ("name", "from_set", "to_set", "arity", "values", "uid")
+    __slots__ = ("name", "from_set", "to_set", "arity", "values", "uid", "staging")
 
     def __init__(
         self,
@@ -66,6 +71,7 @@ class OpMap:
         self.values = values
         self.values.setflags(write=False)
         self.uid = next(_UIDS)
+        self.staging: dict[tuple, Any] = {}
 
     def targets(self, elements: np.ndarray | slice, idx: int) -> np.ndarray:
         """Indices in ``to_set`` addressed by column ``idx`` for ``elements``."""

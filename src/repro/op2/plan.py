@@ -47,6 +47,9 @@ class Plan:
     classes: list[list[int]] = field(repr=False)
     #: True when coloring was required (indirect reduction present).
     colored: bool = False
+    #: decompositions derived from this plan, built once and kept here by
+    #: the loop-task core (:meth:`repro.backends.threaded.LoopSpace.of`).
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nblocks(self) -> int:

@@ -9,9 +9,9 @@ invariants checked here over hypothesis-generated meshes:
    included);
 2. the loop-task core's decomposition (:class:`LoopSpace`) hands each pool
    task a disjoint part of the color class — over the whole set or a sorted
-   subset, the chunks' ``execute_loop`` runs tile the space exactly, so
-   concurrent direct writes never overlap either, and same-color chunks
-   increment disjoint rows.
+   subset, the chunks' ``execute_loop`` calls (one per chunk) tile the space
+   exactly, so concurrent direct writes never overlap either, and same-color
+   chunks increment disjoint rows.
 """
 
 import numpy as np
@@ -108,16 +108,28 @@ def _run_elements(run) -> list[int]:
     st.sampled_from(sorted(CHUNKERS)),
 )
 def test_chunked_spans_tile_each_color_class(world, block_size, workers, kind):
-    """Pool tasks receive disjoint element runs covering the class exactly."""
+    """Each pool task makes one non-empty call; the calls tile the class exactly.
+
+    The call is a slice when the chunk's blocks are adjacent, otherwise one
+    read-only array of the blocks' element ids in block order.
+    """
     from_set, maps, args = world
     plan = build_plan(from_set, args, block_size=block_size)
     for color_chunks in LoopSpace(plan).split(CHUNKERS[kind], workers):
         cls = plan.classes[color_chunks[0].color]
         elements: list[int] = []
         for chunk in color_chunks:
-            for run in chunk.runs:
-                assert run.stop > run.start
-                elements.extend(_run_elements(run))
+            assert len(chunk.runs) == 1
+            call = chunk.elements
+            blocks_ids = [
+                e for b in chunk.blocks for e in range(plan.blocks[b].start, plan.blocks[b].stop)
+            ]
+            assert _run_elements(call) == blocks_ids
+            if isinstance(call, slice):
+                assert call.stop > call.start
+            else:
+                assert call.size and not call.flags.writeable
+            elements.extend(_run_elements(call))
         expected = sorted(
             e
             for b in cls
