@@ -57,7 +57,7 @@ def test_plan_construction_cost(benchmark, paper_mesh):
     def build():
         with op2_session(backend="seq", block_size=PAPER_CONFIG.block_size) as rt:
             app = AirfoilApp(paper_mesh)
-            app.loop_res_calc()
+            app.fire("res_calc")
             return rt.plans.misses
 
     misses = benchmark.pedantic(build, rounds=3, iterations=1)

@@ -70,7 +70,7 @@ def test_distributed_schedule(benchmark, dist_mesh, schedule, ranks):
     machine = config.cluster_machine(ranks)
 
     def run():
-        graph = emit_distributed(app.dplan, app.mesh, config, schedule)
+        graph = emit_distributed(app.dplan, config, schedule)
         return simulate(graph, machine, machine.num_cores)
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)

@@ -60,11 +60,11 @@ def main() -> None:
         config = DistScheduleConfig(threads_per_node=8, niter=2)
         machine = config.cluster_machine(ranks)
         tb = simulate(
-            emit_distributed(d.dplan, d.mesh, config, "blocking"),
+            emit_distributed(d.dplan, config, "blocking"),
             machine, machine.num_cores,
         ).makespan
         to = simulate(
-            emit_distributed(d.dplan, d.mesh, config, "overlapped"),
+            emit_distributed(d.dplan, config, "overlapped"),
             machine, machine.num_cores,
         ).makespan
         table.add_row([ranks, tb / 1000.0, to / 1000.0, f"{tb / to - 1.0:+.1%}"])

@@ -34,20 +34,9 @@ from repro.airfoil.constants import DEFAULT_CONSTANTS, FlowConstants
 from repro.airfoil.kernels import make_kernels
 from repro.airfoil.meshgen import AirfoilMesh
 from repro.engine import INNER_ITERS, airfoil_timestep
+from repro.engine.airfoil import airfoil_loops
 from repro.engine.program import LoopStep, steps_conflict
-from repro.op2 import (
-    OP_ID,
-    OP_INC,
-    OP_READ,
-    OP_RW,
-    OP_WRITE,
-    OpDat,
-    OpGlobal,
-    Op2Runtime,
-    op_arg_dat,
-    op_arg_gbl,
-    op_par_loop,
-)
+from repro.op2 import OpDat, OpGlobal, Op2Runtime, op_par_loop
 
 __all__ = ["AirfoilApp", "AirfoilResult", "INNER_ITERS"]
 
@@ -87,86 +76,37 @@ class AirfoilApp:
         self.g_rms = OpGlobal("rms", 1)
         self.g_qinf = OpGlobal("qinf", 4, freestream)
 
+        #: the five loops, built from the one Airfoil loop table.
+        self.loops = airfoil_loops(
+            self.kernels,
+            {"cells": mesh.cells, "edges": mesh.edges, "bedges": mesh.bedges},
+            mesh,
+            {
+                "x": self.p_x,
+                "bound": self.p_bound,
+                "q": self.p_q,
+                "qold": self.p_qold,
+                "res": self.p_res,
+                "adt": self.p_adt,
+            },
+            {"qinf": self.g_qinf, "rms": self.g_rms},
+        )
         #: the canonical timestep; all three walk variants consume it.
         self.program = airfoil_timestep()
         #: loops fired but not yet synced, for the async walk: the sync
         #: points are derived, not hand-placed.
         self._pending: list[tuple[LoopStep, object]] = []
 
-    # -- the five loops -------------------------------------------------------
-
-    def loop_save_soln(self):
-        return op_par_loop(
-            self.kernels["save_soln"],
-            "save_soln",
-            self.mesh.cells,
-            op_arg_dat(self.p_q, -1, OP_ID, OP_READ),
-            op_arg_dat(self.p_qold, -1, OP_ID, OP_WRITE),
-        )
-
-    def loop_adt_calc(self):
-        return op_par_loop(
-            self.kernels["adt_calc"],
-            "adt_calc",
-            self.mesh.cells,
-            op_arg_dat(self.p_x, 0, self.mesh.pcell, OP_READ),
-            op_arg_dat(self.p_x, 1, self.mesh.pcell, OP_READ),
-            op_arg_dat(self.p_x, 2, self.mesh.pcell, OP_READ),
-            op_arg_dat(self.p_x, 3, self.mesh.pcell, OP_READ),
-            op_arg_dat(self.p_q, -1, OP_ID, OP_READ),
-            op_arg_dat(self.p_adt, -1, OP_ID, OP_WRITE),
-        )
-
-    def loop_res_calc(self):
-        return op_par_loop(
-            self.kernels["res_calc"],
-            "res_calc",
-            self.mesh.edges,
-            op_arg_dat(self.p_x, 0, self.mesh.pedge, OP_READ),
-            op_arg_dat(self.p_x, 1, self.mesh.pedge, OP_READ),
-            op_arg_dat(self.p_q, 0, self.mesh.pecell, OP_READ),
-            op_arg_dat(self.p_q, 1, self.mesh.pecell, OP_READ),
-            op_arg_dat(self.p_adt, 0, self.mesh.pecell, OP_READ),
-            op_arg_dat(self.p_adt, 1, self.mesh.pecell, OP_READ),
-            op_arg_dat(self.p_res, 0, self.mesh.pecell, OP_INC),
-            op_arg_dat(self.p_res, 1, self.mesh.pecell, OP_INC),
-        )
-
-    def loop_bres_calc(self):
-        return op_par_loop(
-            self.kernels["bres_calc"],
-            "bres_calc",
-            self.mesh.bedges,
-            op_arg_dat(self.p_x, 0, self.mesh.pbedge, OP_READ),
-            op_arg_dat(self.p_x, 1, self.mesh.pbedge, OP_READ),
-            op_arg_dat(self.p_q, 0, self.mesh.pbecell, OP_READ),
-            op_arg_dat(self.p_adt, 0, self.mesh.pbecell, OP_READ),
-            op_arg_dat(self.p_res, 0, self.mesh.pbecell, OP_INC),
-            op_arg_dat(self.p_bound, -1, OP_ID, OP_READ),
-            op_arg_gbl(self.g_qinf, OP_READ),
-        )
-
-    def loop_update(self):
-        return op_par_loop(
-            self.kernels["update"],
-            "update",
-            self.mesh.cells,
-            op_arg_dat(self.p_qold, -1, OP_ID, OP_READ),
-            op_arg_dat(self.p_q, -1, OP_ID, OP_WRITE),
-            op_arg_dat(self.p_res, -1, OP_ID, OP_RW),
-            op_arg_dat(self.p_adt, -1, OP_ID, OP_READ),
-            op_arg_gbl(self.g_rms, OP_INC),
-        )
-
     # -- program walks --------------------------------------------------------
 
-    def _fire(self, step: LoopStep):
-        """Launch one program step through its ``op_par_loop``."""
-        return getattr(self, f"loop_{step.name}")()
+    def fire(self, name: str):
+        """Launch one loop through ``op_par_loop``; returns the backend's result."""
+        loop = self.loops[name]
+        return op_par_loop(loop.kernel, loop.name, loop.set_, *loop.args)
 
     def _step_sync(self, rt: Op2Runtime) -> None:
         for step in self.program:
-            self._fire(step)
+            self.fire(step.name)
 
     def _step_async(self, rt: Op2Runtime) -> None:
         # Before each launch, sync exactly the pending futures whose steps
@@ -184,13 +124,13 @@ class AirfoilApp:
             if due:
                 rt.sync(*(f for _, f in due))
                 self._pending = [p for p in self._pending if p not in due]
-            self._pending.append((step, self._fire(step)))
+            self._pending.append((step, self.fire(step.name)))
 
     def _step_dataflow(self, rt: Op2Runtime) -> None:
         # No synchronization anywhere: the modified API tracks dependencies
         # automatically, including across timestep boundaries.
         for step in self.program:
-            self._fire(step)
+            self.fire(step.name)
 
     def run(self, rt: Op2Runtime, niter: int) -> AirfoilResult:
         """Run ``niter`` timesteps on the given runtime's backend."""

@@ -404,9 +404,6 @@ class Backend(ABC):
     def _exec_mode(self, rt: "Op2Runtime") -> str:
         return "vectorized"
 
-    def run_functional(self, rt: "Op2Runtime", loop: ParLoop, plan: "Plan") -> None:
-        """Shared functional execution honoring the runtime's granularity."""
-        if rt.granularity == "block":
-            execute_loop_by_plan(loop, plan, mode=self._exec_mode(rt))
-        else:
-            execute_loop(loop, mode=self._exec_mode(rt))
+    def run_functional(self, rt: "Op2Runtime", loop: ParLoop) -> None:
+        """Shared functional execution: the whole set in one call."""
+        execute_loop(loop, mode=self._exec_mode(rt))

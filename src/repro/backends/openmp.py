@@ -32,7 +32,7 @@ class OpenMPBackend(Backend):
     ) -> None:
         # Functionally, fork-join over blocks in color order is just ordered
         # execution; the numerical result matches the reference exactly.
-        self.run_functional(rt, loop, plan)
+        self.run_functional(rt, loop)
         return None
 
     def emit(

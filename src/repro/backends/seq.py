@@ -22,7 +22,7 @@ class SeqBackend(Backend):
     def run_loop(
         self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
     ) -> None:
-        self.run_functional(rt, loop, plan)
+        self.run_functional(rt, loop)
         return None
 
     def run_loop_threads(
@@ -34,7 +34,7 @@ class SeqBackend(Backend):
         if rec is None:
             return self.run_loop(rt, loop, plan, loop_id)
         t0 = rec.now()
-        self.run_functional(rt, loop, plan)
+        self.run_functional(rt, loop)
         end = rec.now()
         rec.span(loop.name, "loop", loop.name, t0, end, busy=True)
         rec.record_loop(loop.name, end - t0, 1, 1)

@@ -227,11 +227,11 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     config = DistScheduleConfig(threads_per_node=args.threads, niter=2)
     machine = config.cluster_machine(args.ranks)
     tb = simulate(
-        emit_distributed(dist.dplan, mesh, config, "blocking"),
+        emit_distributed(dist.dplan, config, "blocking"),
         machine, machine.num_cores,
     ).makespan
     to = simulate(
-        emit_distributed(dist.dplan, mesh, config, "overlapped"),
+        emit_distributed(dist.dplan, config, "overlapped"),
         machine, machine.num_cores,
     ).makespan
     print(

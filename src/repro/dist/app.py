@@ -28,20 +28,11 @@ from repro.airfoil.meshgen import AirfoilMesh
 from repro.backends.base import execute_loop
 from repro.dist.exchange import HaloExchange
 from repro.engine import airfoil_timestep
+from repro.engine.airfoil import airfoil_loops
 from repro.engine.program import ExchangeStep
 from repro.dist.partition import band_partition, cell_centroids, rcb_partition
 from repro.dist.plan import DistPlan, RankPlan, build_dist_plan
-from repro.op2 import (
-    OP_ID,
-    OP_INC,
-    OP_READ,
-    OP_RW,
-    OP_WRITE,
-    OpDat,
-    OpGlobal,
-    op_arg_dat,
-    op_arg_gbl,
-)
+from repro.op2 import OpDat, OpGlobal
 from repro.op2.parloop import ParLoop
 from repro.util.validate import ValidationError
 
@@ -77,7 +68,7 @@ def build_rank_state(
     freestream: np.ndarray,
     arrays: dict[str, np.ndarray] | None = None,
 ) -> RankState:
-    """Build one rank's dat views and loop objects.
+    """Build one rank's dat views and its five loops from the Airfoil table.
 
     ``arrays`` optionally supplies preallocated storage for the four cell
     fields (``q``/``res``/``adt`` over owned+halo rows, ``qold`` over owned
@@ -103,86 +94,27 @@ def build_rank_state(
     qold[:] = 0.0
     res[:] = 0.0
     adt[:] = 0.0
-    x = OpDat("x", rp.nodes_set, 2, rp.x_local)
-    bound = OpDat("bound", rp.bedges_set, 1, rp.bound_local, dtype=np.int64)
     rms = OpGlobal(f"rms.r{rp.rank}", 1)
 
     # Owned-set views (direct cell loops) share storage with the
-    # full-local-set dats (indirect edge loops): q[:n_owned] is a
-    # contiguous view, so writes through either dat are the same memory.
-    q_owned = OpDat("q", rp.owned_set, 4, q[: rp.n_owned])
-    q_cells = OpDat("q", rp.cells_set, 4, q)
-    qold_owned = OpDat("qold", rp.owned_set, 4, qold)
-    res_owned = OpDat("res", rp.owned_set, 4, res[: rp.n_owned])
-    res_cells = OpDat("res", rp.cells_set, 4, res)
-    adt_owned = OpDat("adt", rp.owned_set, 1, adt[: rp.n_owned])
-    adt_cells = OpDat("adt", rp.cells_set, 1, adt)
-
-    loops = {
-        "save_soln": ParLoop(
-            kernels["save_soln"],
-            "save_soln",
-            rp.owned_set,
-            (
-                op_arg_dat(q_owned, -1, OP_ID, OP_READ),
-                op_arg_dat(qold_owned, -1, OP_ID, OP_WRITE),
-            ),
-        ),
-        "adt_calc": ParLoop(
-            kernels["adt_calc"],
-            "adt_calc",
-            rp.owned_set,
-            (
-                op_arg_dat(x, 0, rp.pcell, OP_READ),
-                op_arg_dat(x, 1, rp.pcell, OP_READ),
-                op_arg_dat(x, 2, rp.pcell, OP_READ),
-                op_arg_dat(x, 3, rp.pcell, OP_READ),
-                op_arg_dat(q_owned, -1, OP_ID, OP_READ),
-                op_arg_dat(adt_owned, -1, OP_ID, OP_WRITE),
-            ),
-        ),
-        "res_calc": ParLoop(
-            kernels["res_calc"],
-            "res_calc",
-            rp.edges_set,
-            (
-                op_arg_dat(x, 0, rp.pedge, OP_READ),
-                op_arg_dat(x, 1, rp.pedge, OP_READ),
-                op_arg_dat(q_cells, 0, rp.pecell, OP_READ),
-                op_arg_dat(q_cells, 1, rp.pecell, OP_READ),
-                op_arg_dat(adt_cells, 0, rp.pecell, OP_READ),
-                op_arg_dat(adt_cells, 1, rp.pecell, OP_READ),
-                op_arg_dat(res_cells, 0, rp.pecell, OP_INC),
-                op_arg_dat(res_cells, 1, rp.pecell, OP_INC),
-            ),
-        ),
-        "bres_calc": ParLoop(
-            kernels["bres_calc"],
-            "bres_calc",
-            rp.bedges_set,
-            (
-                op_arg_dat(x, 0, rp.pbedge, OP_READ),
-                op_arg_dat(x, 1, rp.pbedge, OP_READ),
-                op_arg_dat(q_cells, 0, rp.pbecell, OP_READ),
-                op_arg_dat(adt_cells, 0, rp.pbecell, OP_READ),
-                op_arg_dat(res_cells, 0, rp.pbecell, OP_INC),
-                op_arg_dat(bound, -1, OP_ID, OP_READ),
-                op_arg_gbl(g_qinf, OP_READ),
-            ),
-        ),
-        "update": ParLoop(
-            kernels["update"],
-            "update",
-            rp.owned_set,
-            (
-                op_arg_dat(qold_owned, -1, OP_ID, OP_READ),
-                op_arg_dat(q_owned, -1, OP_ID, OP_WRITE),
-                op_arg_dat(res_owned, -1, OP_ID, OP_RW),
-                op_arg_dat(adt_owned, -1, OP_ID, OP_READ),
-                op_arg_gbl(rms, OP_INC),
-            ),
-        ),
-    }
+    # full-local-set views (loops reaching cells through pecell/pbecell):
+    # q[:n_owned] is a contiguous view, so writes through either dat are the
+    # same memory.
+    owned, cells = rp.owned_set, rp.cells_set
+    loops = airfoil_loops(
+        kernels,
+        {"cells": owned, "edges": rp.edges_set, "bedges": rp.bedges_set},
+        rp,
+        {
+            "x": OpDat("x", rp.nodes_set, 2, rp.x_local),
+            "bound": OpDat("bound", rp.bedges_set, 1, rp.bound_local, dtype=np.int64),
+            "q": (OpDat("q", owned, 4, q[: rp.n_owned]), OpDat("q", cells, 4, q)),
+            "qold": OpDat("qold", owned, 4, qold),
+            "res": (OpDat("res", owned, 4, res[: rp.n_owned]), OpDat("res", cells, 4, res)),
+            "adt": (OpDat("adt", owned, 1, adt[: rp.n_owned]), OpDat("adt", cells, 1, adt)),
+        },
+        {"qinf": g_qinf, "rms": rms},
+    )
     return RankState(plan=rp, q=q, qold=qold, res=res, adt=adt, rms=rms, loops=loops)
 
 

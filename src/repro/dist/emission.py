@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.airfoil.kernels import make_kernels
 from repro.airfoil.constants import DEFAULT_CONSTANTS
 from repro.dist.comm import CommModel
-from repro.dist.plan import DistPlan
+from repro.dist.plan import DistPlan, split_boundary
 from repro.engine import airfoil_timestep
+from repro.engine.airfoil import AIRFOIL_LOOPS
 from repro.engine.program import ExchangeStep, LoopStep
 from repro.sim.barriers import barrier_cost
 from repro.sim.machine import MachineConfig
@@ -80,55 +79,38 @@ class DistScheduleConfig:
 class _RankWork:
     """Per-rank work decomposition (element counts -> costs)."""
 
-    boundary_cells: int
-    interior_cells: int
-    exterior_edges: int
-    interior_edges: int
-    bedges: int
+    #: elements per iteration set (``cells`` = owned cells) and per subset
+    #: of the rank's boundary/interior split.
+    counts: dict[str, int]
     #: bytes sent to each neighbor per q/adt update and per res accumulate.
     out_bytes: dict[int, int]
 
 
-def _decompose(dplan: DistPlan, mesh) -> list[_RankWork]:
-    """Boundary/interior split and message sizes per rank."""
-    owner = dplan.owner
-    pecell = mesh.pecell.values
-    cut = owner[pecell[:, 0]] != owner[pecell[:, 1]]
-    # Boundary cells: owned endpoints of *any* cut edge. This equals the
-    # measured runtime's split (exported rows plus the owned endpoints of
-    # the rank's own exterior edges): every cut edge is owned by one of its
-    # two sides, so collecting endpoints globally covers both sources.
-    all_cut_endpoints = np.unique(pecell[cut].ravel())
+def _decompose(dplan: DistPlan) -> list[_RankWork]:
+    """Boundary/interior split sizes and message sizes per rank.
+
+    The split is the one the rank workers execute
+    (:func:`repro.dist.plan.split_boundary`).
+    """
     works: list[_RankWork] = []
     for rp in dplan.plans:
-        my_cut = cut[rp.edges]
-        exterior = int(np.sum(my_cut))
-        interior = len(rp.edges) - exterior
-        boundary = int(np.sum(owner[all_cut_endpoints] == rp.rank))
+        counts = {"cells": rp.n_owned, "edges": len(rp.edges), "bedges": len(rp.bedges)}
+        counts.update((name, len(ids)) for name, ids in split_boundary(rp).items())
         out_bytes = {
             s: len(idx) * 8 for s, idx in rp.exports.items()
         }  # per dim-1 float64 row; scaled by dim at use sites
-        works.append(
-            _RankWork(
-                boundary_cells=boundary,
-                interior_cells=rp.n_owned - boundary,
-                exterior_edges=exterior,
-                interior_edges=interior,
-                bedges=len(rp.bedges),
-                out_bytes=out_bytes,
-            )
-        )
+        works.append(_RankWork(counts=counts, out_bytes=out_bytes))
     return works
 
 
 class _Emitter:
     """Shared machinery for both schedules."""
 
-    def __init__(self, dplan: DistPlan, mesh, config: DistScheduleConfig) -> None:
+    def __init__(self, dplan: DistPlan, config: DistScheduleConfig) -> None:
         self.dplan = dplan
         self.config = config
         self.graph = TaskGraph()
-        self.works = _decompose(dplan, mesh)
+        self.works = _decompose(dplan)
         self.kernels = make_kernels(DEFAULT_CONSTANTS)
         self.P = config.threads_per_node
         self.R = dplan.ranks
@@ -206,15 +188,14 @@ class _Emitter:
 
 def emit_distributed(
     dplan: DistPlan,
-    mesh,
     config: DistScheduleConfig,
     schedule: str = "blocking",
 ) -> TaskGraph:
     """Emit the distributed Airfoil run under the given schedule."""
     if schedule == "blocking":
-        return _emit_blocking(_Emitter(dplan, mesh, config))
+        return _emit_blocking(_Emitter(dplan, config))
     if schedule == "overlapped":
-        return _emit_overlapped(_Emitter(dplan, mesh, config))
+        return _emit_overlapped(_Emitter(dplan, config))
     raise ValueError(f"unknown schedule {schedule!r}; use 'blocking' or 'overlapped'")
 
 
@@ -237,19 +218,7 @@ _SUBSET_TAG = {
 
 def _count(step: LoopStep, w: _RankWork) -> int:
     """Elements one rank iterates for a program loop step."""
-    if step.name == "bres_calc":
-        return w.bedges
-    if step.name == "res_calc":
-        if step.subset == "interior_edges":
-            return w.interior_edges
-        if step.subset == "exterior_edges":
-            return w.exterior_edges
-        return w.interior_edges + w.exterior_edges
-    if step.subset == "boundary_cells":
-        return w.boundary_cells
-    if step.subset == "interior_cells":
-        return w.interior_cells
-    return w.boundary_cells + w.interior_cells
+    return w.counts[step.subset or AIRFOIL_LOOPS[step.name][0]]
 
 
 def _msg_dim(step: ExchangeStep) -> int:

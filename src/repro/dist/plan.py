@@ -218,3 +218,36 @@ def build_dist_plan(mesh: AirfoilMesh, owner: np.ndarray) -> DistPlan:
                 raise ValidationError("export refers to non-owned cell")
 
     return DistPlan(ranks=ranks, owner=owner, plans=plans)
+
+
+def split_boundary(rp: RankPlan) -> dict[str, np.ndarray]:
+    """Boundary/interior split of one rank's iteration spaces (local ids).
+
+    ``exterior_edges`` touch at least one halo cell and must wait for the
+    imports; ``interior_edges`` see only owned rows. ``boundary_cells`` are
+    the owned rows whose residual is not final until the exterior edges and
+    the remote accumulation have landed: the exported rows (remote
+    contributions arrive there) *plus* the owned endpoints of exterior
+    edges. The latter are not always exported — a shared edge belongs to
+    exactly one rank, so its owned endpoint may be a cell no neighbor ever
+    imports — but their residual still includes an exterior-edge flux, so
+    they must not update while the halo phase is in flight.
+    ``interior_cells`` is the complement: rows only interior edges and
+    boundary edges touch, free to update under the in-flight accumulation.
+    """
+    pecell = rp.pecell.values
+    exterior_mask = (pecell >= rp.n_owned).any(axis=1)
+    ext_rows = pecell[exterior_mask].ravel()
+    pieces = [ext_rows[ext_rows < rp.n_owned]]
+    if rp.exports:
+        pieces.extend(rp.exports.values())
+    boundary = np.unique(np.concatenate(pieces).astype(np.int64))
+    interior = np.setdiff1d(
+        np.arange(rp.n_owned, dtype=np.int64), boundary, assume_unique=True
+    )
+    return {
+        "boundary_cells": boundary,
+        "interior_cells": interior,
+        "exterior_edges": np.flatnonzero(exterior_mask).astype(np.int64),
+        "interior_edges": np.flatnonzero(~exterior_mask).astype(np.int64),
+    }

@@ -94,7 +94,9 @@ class ProgramBindings:
         fn([self.arrays[name] for name in step.fields])
 
     def validate_for(self, program: LoopProgram) -> None:
-        """Check loop coverage and that each declared partition is exact."""
+        """Check loop coverage, that each declared partition is exact, and
+        (given the ``cells`` size) that every indirect argument stays inside
+        its footprint's regions."""
         missing = [n for n in program.loop_names() if n not in self.loops]
         if missing:
             raise ValidationError(f"bindings missing loops: {missing}")
@@ -119,6 +121,55 @@ class ProgramBindings:
                     f"subsets {names} do not partition space {space!r} "
                     f"of size {size}"
                 )
+        if "cells" in self.space_sizes:
+            self._check_reach(program)
+
+    def _check_reach(self, program: LoopProgram) -> None:
+        """Every indirect argument's real targets lie in its footprint's regions.
+
+        A step's region tokens for a dat (``q:bnd``, ``q:halo``) are derived
+        from the shape's reach table; here each map column, restricted to the
+        step's subset, is checked against them on this rank's numbering:
+        ``halo`` rows lie past the owned cells, ``bnd`` rows are the
+        ``boundary_cells`` subset, ``int`` rows the other owned ones and
+        ``own`` both.
+        """
+        n_owned = self.space_sizes["cells"]
+        labels: np.ndarray | None = None
+        checked: set[tuple] = set()
+        for step in dict.fromkeys(program.steps):
+            if not isinstance(step, LoopStep):
+                continue
+            tokens = step.reads + step.writes + step.incs
+            elements = self.elements(step)
+            for arg in self.loops[step.name].args:
+                regions = [t.split(":")[1] for t in tokens if t.startswith(f"{arg.dat.name}:")]
+                key = (arg.map_, arg.idx, step.subset, tuple(regions))
+                if arg.map_ is None or not regions or key in checked:
+                    continue
+                checked.add(key)
+                if labels is None:
+                    labels = np.full(arg.map_.to_set.size, 2, dtype=np.int8)
+                    labels[:n_owned] = 1
+                    labels[self.subsets.get("boundary_cells", [])] = 0
+                allowed = np.zeros(3, dtype=bool)
+                allowed[[c for r in regions for c in _REGION_CODES[r]]] = True
+                column = arg.map_.values[:, arg.idx]
+                rows = column if elements is None else column[elements]
+                bad = np.flatnonzero(~allowed[labels[rows]])
+                if bad.size:
+                    row = int(rows[bad[0]])
+                    raise ValidationError(
+                        f"loop {step.name!r} over subset {step.subset!r}: dat "
+                        f"{arg.dat.name!r} via {arg.map_.name}[{arg.idx}] reaches "
+                        f"row {row} ({_REGIONS[labels[row]]}), outside "
+                        f"its footprint regions {regions}"
+                    )
+
+
+#: Region of each local cell row, by code, and the codes a footprint region names.
+_REGIONS = ("bnd", "int", "halo")
+_REGION_CODES = {"bnd": (0,), "int": (1,), "halo": (2,), "own": (0, 1)}
 
 
 def _read_only(ids: np.ndarray) -> np.ndarray:

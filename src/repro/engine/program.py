@@ -20,8 +20,13 @@ One program definition serves every execution stack in the repo:
 
 Footprint tokens are plain strings naming a storage region (``"q:own"``,
 ``"adt:halo"``, ``"res:bnd"``); two steps conflict when one writes a token
-the other touches. ``incs`` tokens are commutative increments: they behave
-like writes against reads and writes, but two increments of the same token
+the other touches. Loop-step footprints are not written by hand: they are
+derived from the loops' ``op_arg_dat`` access descriptors
+(:func:`repro.engine.airfoil.loop_step`). Only exchange steps, which are no
+``op_par_loop`` at all, carry hand-written tokens.
+
+``incs`` tokens are commutative increments: they behave like writes against
+reads and writes, but two increments of the same token
 may commute — the async application driver exploits this to launch
 ``res_calc`` and ``bres_calc`` without a sync between them (paper Fig 10),
 while the real-thread executors keep the strict ordering (two concurrent

@@ -23,7 +23,8 @@ from repro.procs.driver import (
 )
 from repro.procs.shm import AttachedRank, RankLayout, ShmRegistry, leaked_segments
 from repro.procs.transport import HaloTransport, RankChannels, build_channels
-from repro.procs.worker import SCHEDULES, RankReport, RankSpec, split_boundary
+from repro.dist.plan import split_boundary
+from repro.procs.worker import SCHEDULES, RankReport, RankSpec
 
 __all__ = [
     "AttachedRank",

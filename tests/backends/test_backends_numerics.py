@@ -74,33 +74,20 @@ class TestThreadCountInvariance:
         assert norms[0] == pytest.approx(norms[2])
 
 
-class TestBlockGranularity:
-    @pytest.mark.parametrize("backend", ["seq", "openmp"])
-    def test_block_granularity_matches_reference(
-        self, backend, small_mesh_module, reference
-    ):
-        with op2_session(
-            backend=backend, num_threads=2, block_size=16, granularity="block"
-        ) as rt:
-            app = AirfoilApp(small_mesh_module)
-            app.run(rt, NITER)
-        compare_states(app, reference, tol=1e-9)
-
-
 class TestAsyncSemantics:
     def test_async_backend_returns_futures(self, small_mesh_module):
         from repro.hpx.future import Future
 
         with op2_session(backend="hpx_async", num_threads=2, block_size=16) as rt:
             app = AirfoilApp(small_mesh_module)
-            fut = app.loop_save_soln()
+            fut = app.fire("save_soln")
             assert isinstance(fut, Future)
             rt.sync(fut)
 
     def test_dataflow_defers_execution_until_finish(self, small_mesh_module):
         with op2_session(backend="hpx_dataflow", num_threads=2, block_size=16) as rt:
             app = AirfoilApp(small_mesh_module)
-            app.loop_save_soln()
+            app.fire("save_soln")
             # Not yet guaranteed to have run; finish() forces completion.
             rt.finish()
             assert app.p_qold.version >= 1
@@ -108,4 +95,4 @@ class TestAsyncSemantics:
     def test_sync_backend_returns_none(self, small_mesh_module):
         with op2_session(backend="openmp", num_threads=2, block_size=16):
             app = AirfoilApp(small_mesh_module)
-            assert app.loop_save_soln() is None
+            assert app.fire("save_soln") is None

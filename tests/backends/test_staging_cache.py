@@ -14,12 +14,11 @@ from repro.airfoil import AirfoilApp, generate_mesh
 from repro.airfoil.constants import DEFAULT_CONSTANTS
 from repro.airfoil.kernels import make_kernels
 from repro.dist.app import build_rank_state, make_owner
-from repro.dist.plan import build_dist_plan
 from repro.engine import ProgramBindings, airfoil_timestep
 from repro.engine.executors import DependencyExecutor, ForkJoinExecutor
 from repro.hpx.threadpool import ThreadPoolEngine
 from repro.op2 import OpGlobal, op2_session
-from repro.procs.worker import split_boundary
+from repro.dist.plan import build_dist_plan, split_boundary
 
 N = 2
 
@@ -38,19 +37,18 @@ def _plan_spaces(rt):
 
 
 @pytest.mark.parametrize(
-    "backend, mode, granularity",
+    "backend, mode",
     [
-        ("hpx_dataflow", "threads", "set"),
-        ("openmp", "threads", "set"),
-        ("foreach", "threads", "set"),  # auto partitioner: measured split
-        ("openmp", "sim", "block"),
+        ("hpx_dataflow", "threads"),
+        ("openmp", "threads"),
+        ("foreach", "threads"),  # auto partitioner: measured split
     ],
 )
-def test_session_paths_add_no_entries_after_warmup(backend, mode, granularity):
+def test_session_paths_add_no_entries_after_warmup(backend, mode):
     mesh = generate_mesh(ni=24, nj=12)
     app = AirfoilApp(mesh)
     with op2_session(
-        backend=backend, num_threads=2, mode=mode, num_workers=2, granularity=granularity
+        backend=backend, num_threads=2, mode=mode, num_workers=2
     ) as rt:
         app.run(rt, N)
         rt.finish()

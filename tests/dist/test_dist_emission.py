@@ -1,5 +1,7 @@
 """Tests for distributed task-graph emission and the overlap claim."""
 
+import hashlib
+
 import pytest
 
 from repro.airfoil import generate_mesh
@@ -41,7 +43,7 @@ class TestCommModel:
 class TestEmission:
     @pytest.mark.parametrize("schedule", ["blocking", "overlapped"])
     def test_graph_valid_and_simulates(self, dist4, config, schedule):
-        graph = emit_distributed(dist4.dplan, dist4.mesh, config, schedule)
+        graph = emit_distributed(dist4.dplan, config, schedule)
         graph.validate()
         machine = config.cluster_machine(dist4.dplan.ranks)
         res = simulate(graph, machine, machine.num_cores)
@@ -49,25 +51,25 @@ class TestEmission:
         assert res.makespan > 0
 
     def test_same_compute_work_both_schedules(self, dist4, config):
-        b = emit_distributed(dist4.dplan, dist4.mesh, config, "blocking")
-        o = emit_distributed(dist4.dplan, dist4.mesh, config, "overlapped")
+        b = emit_distributed(dist4.dplan, config, "blocking")
+        o = emit_distributed(dist4.dplan, config, "overlapped")
         assert b.total_work("work") == pytest.approx(o.total_work("work"))
 
     def test_blocking_has_global_gates(self, dist4, config):
-        graph = emit_distributed(dist4.dplan, dist4.mesh, config, "blocking")
+        graph = emit_distributed(dist4.dplan, config, "blocking")
         gates = [t for t in graph if t.kind == "barrier" and "gate" in t.name]
         assert gates
 
     def test_overlapped_has_no_global_gates(self, dist4, config):
-        graph = emit_distributed(dist4.dplan, dist4.mesh, config, "overlapped")
+        graph = emit_distributed(dist4.dplan, config, "overlapped")
         assert not [t for t in graph if "gate" in t.name]
 
     def test_unknown_schedule_rejected(self, dist4, config):
         with pytest.raises(ValueError):
-            emit_distributed(dist4.dplan, dist4.mesh, config, "magic")
+            emit_distributed(dist4.dplan, config, "magic")
 
     def test_message_tasks_present(self, dist4, config):
-        graph = emit_distributed(dist4.dplan, dist4.mesh, config, "overlapped")
+        graph = emit_distributed(dist4.dplan, config, "overlapped")
         wires = [t for t in graph if t.name.endswith(".wire")]
         assert wires
         # Wire tasks sit on NIC pseudo-threads (beyond the compute threads).
@@ -75,16 +77,34 @@ class TestEmission:
         assert all(t.affinity >= compute_threads for t in wires)
 
 
+#: sha256 over (name, sorted deps, cost, affinity, kind) of every emitted task
+#: on the ``dist4`` fixture, captured when the emitter still re-derived the
+#: boundary/interior split from the global mesh. Emission now takes its counts
+#: from the split the rank workers execute, and the graphs must not move.
+PINNED_GRAPHS = {
+    "blocking": "0de8ecfde77436c559956733316fc8fc6191f10c87006a1d0732dc9d8dade636",
+    "overlapped": "42d71776c3a323e65a43a21e5817962fb071daa84d995e0a8eb761ae1d2f2393",
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(PINNED_GRAPHS))
+def test_emitted_graphs_are_pinned(dist4, config, schedule):
+    digest = hashlib.sha256()
+    for t in emit_distributed(dist4.dplan, config, schedule):
+        digest.update(repr((t.name, tuple(sorted(t.deps)), t.cost, t.affinity, t.kind)).encode())
+    assert digest.hexdigest() == PINNED_GRAPHS[schedule]
+
+
 class TestOverlapClaim:
     def test_overlapped_beats_blocking(self, dist4, config):
         machine = config.cluster_machine(dist4.dplan.ranks)
         tb = simulate(
-            emit_distributed(dist4.dplan, dist4.mesh, config, "blocking"),
+            emit_distributed(dist4.dplan, config, "blocking"),
             machine,
             machine.num_cores,
         ).makespan
         to = simulate(
-            emit_distributed(dist4.dplan, dist4.mesh, config, "overlapped"),
+            emit_distributed(dist4.dplan, config, "overlapped"),
             machine,
             machine.num_cores,
         ).makespan
@@ -99,12 +119,12 @@ class TestOverlapClaim:
             )
             machine = cfg.cluster_machine(dist4.dplan.ranks)
             tb = simulate(
-                emit_distributed(dist4.dplan, dist4.mesh, cfg, "blocking"),
+                emit_distributed(dist4.dplan, cfg, "blocking"),
                 machine,
                 machine.num_cores,
             ).makespan
             to = simulate(
-                emit_distributed(dist4.dplan, dist4.mesh, cfg, "overlapped"),
+                emit_distributed(dist4.dplan, cfg, "overlapped"),
                 machine,
                 machine.num_cores,
             ).makespan

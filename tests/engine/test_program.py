@@ -187,3 +187,72 @@ class TestValidate:
         p = LoopProgram("bad", (ExchangeStep("accumulate", "start", ("res",)),))
         with pytest.raises(ValidationError, match="ends with in-flight"):
             p.validate()
+
+
+#: Derived edges of the three Airfoil shapes. The literals were captured from
+#: the hand-written footprints that preceded the loop table, so any change to
+#: the table, a reach table or an exchange token that moves an edge shows here.
+PINNED_EDGES = {
+    "local": {
+        "strict": (
+            (), (), (1,), (2,), (0, 3), (4,), (5,), (6,), (7,),
+        ),
+        "commuting": (
+            (), (), (1,), (1,), (0, 2, 3), (4,), (5,), (5,), (6, 7),
+        ),
+        "unrolled2_commuting": (
+            (), (), (1,), (1,), (0, 2, 3), (4,), (5,), (5,), (6, 7), (8,), (8,), (10,),
+            (10,), (9, 11, 12), (13,), (14,), (14,), (15, 16),
+        ),
+    },
+    "blocking": {
+        "strict": (
+            (), (), (1,), (2,), (3,), (4,), (0, 5), (6,), (7,), (8,), (9,), (10,),
+            (11,),
+        ),
+        "commuting": (
+            (), (), (1,), (2,), (1,), (3,), (0, 4, 5), (6,), (7,), (8,), (7,), (9,),
+            (10, 11),
+        ),
+        "unrolled2_commuting": (
+            (), (), (1,), (2,), (1,), (3,), (0, 4, 5), (6,), (7,), (8,), (7,), (9,),
+            (10, 11), (12,), (12,), (14,), (15,), (14,), (16,), (13, 17, 18), (19,),
+            (20,), (21,), (20,), (22,), (23, 24),
+        ),
+    },
+    "overlapped": {
+        "strict": (
+            (), (), (1,), (), (1, 3), (4,), (2,), (5, 6), (7,), (0, 5), (8,), (9, 10),
+            (11,), (12,), (9,), (12, 14), (15,), (13,), (16, 17), (18,), (16,), (19,),
+            (20, 21),
+        ),
+        "commuting": (
+            (), (), (1,), (), (1, 3), (1, 3), (2,), (6,), (7,), (0, 4, 5), (8,),
+            (0, 4, 5, 10), (11,), (12,), (9,), (12, 14), (12, 14), (13,), (17,), (18,),
+            (15, 16), (19,), (15, 16, 21),
+        ),
+        "unrolled2_commuting": (
+            (), (), (1,), (), (1, 3), (1, 3), (2,), (6,), (7,), (0, 4, 5), (8,),
+            (0, 4, 5, 10), (11,), (12,), (9,), (12, 14), (12, 14), (13,), (17,), (18,),
+            (15, 16), (19,), (15, 16, 21), (20, 22), (22,), (24,), (20,), (24, 26),
+            (24, 26), (25,), (29,), (30,), (23, 27, 28), (31,), (23, 27, 28, 33), (34,),
+            (35,), (32,), (35, 37), (35, 37), (36,), (40,), (41,), (38, 39), (42,),
+            (38, 39, 44),
+        ),
+    },
+}
+
+SHAPES = {
+    "local": {},
+    "blocking": {"dist": True},
+    "overlapped": {"dist": True, "overlap": True},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_derived_programs_keep_their_edges(shape):
+    p = airfoil_timestep(**SHAPES[shape])
+    pinned = PINNED_EDGES[shape]
+    assert p.edges() == pinned["strict"]
+    assert p.edges(commute_incs=True) == pinned["commuting"]
+    assert p.unrolled_edges(2, commute_incs=True) == pinned["unrolled2_commuting"]

@@ -236,7 +236,3 @@ class TestRuntimeBookkeeping:
             with op2_session(backend="openmp") as inner:
                 assert get_op2_runtime() is inner
             assert get_op2_runtime() is outer
-
-    def test_invalid_granularity(self):
-        with pytest.raises(Op2Error):
-            Op2Runtime(granularity="element")
