@@ -34,7 +34,7 @@ from repro.airfoil.constants import DEFAULT_CONSTANTS, FlowConstants
 from repro.airfoil.kernels import make_kernels
 from repro.airfoil.meshgen import AirfoilMesh
 from repro.engine import INNER_ITERS, airfoil_timestep
-from repro.engine.airfoil import airfoil_loops
+from repro.engine.airfoil import CELL_FIELDS, airfoil_loops
 from repro.engine.program import LoopStep, steps_conflict
 from repro.op2 import OpDat, OpGlobal, Op2Runtime, op_par_loop
 
@@ -69,12 +69,12 @@ class AirfoilApp:
         freestream = constants.freestream()
         self.p_x = mesh.x
         self.p_bound = mesh.bound
-        self.p_q = OpDat("q", mesh.cells, 4, np.tile(freestream, (ncells, 1)))
-        self.p_qold = OpDat("qold", mesh.cells, 4)
-        self.p_res = OpDat("res", mesh.cells, 4)
-        self.p_adt = OpDat("adt", mesh.cells, 1)
+        self.p_q = OpDat("q", mesh.cells, CELL_FIELDS["q"], np.tile(freestream, (ncells, 1)))
+        self.p_qold = OpDat("qold", mesh.cells, CELL_FIELDS["qold"])
+        self.p_res = OpDat("res", mesh.cells, CELL_FIELDS["res"])
+        self.p_adt = OpDat("adt", mesh.cells, CELL_FIELDS["adt"])
         self.g_rms = OpGlobal("rms", 1)
-        self.g_qinf = OpGlobal("qinf", 4, freestream)
+        self.g_qinf = OpGlobal("qinf", CELL_FIELDS["q"], freestream)
 
         #: the five loops, built from the one Airfoil loop table.
         self.loops = airfoil_loops(

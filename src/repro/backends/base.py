@@ -334,21 +334,20 @@ def execute_loop_by_plan(loop: ParLoop, plan: "Plan", mode: str = "vectorized") 
 
 
 class Backend(ABC):
-    """One loop-parallelization strategy: execution + task-graph emission."""
+    """One loop-parallelization strategy: threads-mode execution + emission.
+
+    In ``sim`` mode the runtime runs every loop in program order itself and
+    :mod:`repro.sim` times the graph :meth:`emit` builds from the loop log,
+    so a backend's own execution path is the real-thread one.
+    """
 
     #: registry key; subclasses override.
     name: str = "abstract"
-    #: True when run_loop returns futures the application may sync on.
+    #: True when loops return futures the application may sync on.
     asynchronous: bool = False
 
     def on_attach(self, rt: "Op2Runtime") -> None:
         """Hook: called once when a runtime adopts this backend."""
-
-    @abstractmethod
-    def run_loop(
-        self, rt: "Op2Runtime", loop: ParLoop, plan: "Plan", loop_id: int
-    ) -> "Future | None":
-        """Execute (or schedule) one loop; returns a future iff asynchronous."""
 
     def _thread_chunker(self, rt: "Op2Runtime"):
         """Decomposition policy for real-thread execution (threads mode).
@@ -361,7 +360,7 @@ class Backend(ABC):
 
         return GuessChunkSize()
 
-    def run_loop_threads(
+    def run_loop(
         self, rt: "Op2Runtime", loop: ParLoop, plan: "Plan", loop_id: int
     ) -> "Future | None":
         """Execute one loop on the runtime's real thread pool.
@@ -375,8 +374,7 @@ class Backend(ABC):
         from repro.backends.threaded import LoopSpace, run_forkjoin
 
         run_forkjoin(
-            rt.thread_pool, loop, LoopSpace.of(plan), self._thread_chunker(rt),
-            self._exec_mode(rt), rt.obs,
+            rt.thread_pool, loop, LoopSpace.of(plan), self._thread_chunker(rt), rt.obs
         )
         return None
 
@@ -387,8 +385,8 @@ class Backend(ABC):
         """Drop backend-side scheduling state after an aborted session.
 
         Called instead of :meth:`finalize` when the session body raised.
-        Backends holding futures or dependency trackers override this so a
-        runtime reused by a later session does not replay stale work.
+        Backends holding dependency schedulers override this so a runtime
+        reused by a later session does not replay stale work.
         """
 
     @abstractmethod
@@ -400,10 +398,3 @@ class Backend(ABC):
         cost_model: "Any",
     ) -> "TaskGraph":
         """Emit the simulator task graph for a recorded run at ``num_threads``."""
-
-    def _exec_mode(self, rt: "Op2Runtime") -> str:
-        return "vectorized"
-
-    def run_functional(self, rt: "Op2Runtime", loop: ParLoop) -> None:
-        """Shared functional execution: the whole set in one call."""
-        execute_loop(loop, mode=self._exec_mode(rt))

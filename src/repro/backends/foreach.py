@@ -21,11 +21,8 @@ from typing import Any
 
 from repro.backends.base import Backend
 from repro.backends.emission import record_block_costs
-from repro.hpx import for_each, par
 from repro.hpx.chunking import AutoPartitioner, StaticChunkSize
-from repro.op2.parloop import ParLoop
-from repro.op2.plan import Plan
-from repro.op2.runtime import LoopLog, Op2Runtime
+from repro.op2.runtime import LoopLog
 from repro.sim.barriers import join_cost
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
@@ -61,21 +58,6 @@ class ForEachBackend(Backend):
         # auto partitioner (inline measurement prefix) or the programmer's
         # static chunk size, in units of plan blocks.
         return self._chunker()
-
-    def run_loop(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> None:
-        from repro.backends.base import execute_loop
-
-        mode = self._exec_mode(rt)
-        policy = par.with_(self._chunker())
-        for color_blocks in plan.classes:
-            def body(block_index: int, _blocks=color_blocks) -> None:
-                execute_loop(loop, plan.block_elements(_blocks[block_index]), mode=mode)
-
-            # for_each(par, ...) joins before returning: fork-join semantics.
-            for_each(policy, range(len(color_blocks)), body)
-        return None
 
     def emit(
         self,

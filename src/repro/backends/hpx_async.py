@@ -6,9 +6,12 @@ Fig 10). Between sync points, loops overlap freely: an idle thread that
 finished its part of ``save_soln`` can pick up ``adt_calc`` chunks instead of
 spinning at a barrier.
 
-Functional execution really is deferred — loop bodies run as executor tasks
-when futures are driven — so a misplaced sync shows up as a wrong answer in
-tests, exactly the hazard the paper attributes to manual ``get`` placement.
+In threads mode every chunk is dependency-released on the pool; conflicting
+loops are ordered at loop granularity (a consumer chunk waits for the
+producer loop's finalizer), so the application's sync placement is the only
+real join. In sim mode the runtime runs each loop in program order and
+returns a ready future, so ``rt.sync`` still logs the sync points the
+emitter replays.
 
 The emitter replays the recorded loop/sync sequence: loop chunks depend only
 on the driver's position (spawn chain + sync joins) and on the previous color
@@ -19,88 +22,20 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.backends.base import Backend, execute_loop
+from repro.backends.base import execute_loop  # noqa: F401 - patched by perfbench/layers.py
 from repro.backends.emission import add_gate, record_block_costs
-from repro.hpx import for_each, par, par_task
-from repro.hpx.future import Future
-from repro.hpx.runtime import get_runtime
-from repro.op2.parloop import ParLoop
-from repro.op2.plan import Plan
-from repro.op2.runtime import LoopLog, LoopRecord, Op2Runtime, SyncRecord
+from repro.backends.scheduling import ScheduledBackend
+from repro.op2.runtime import LoopLog, LoopRecord, SyncRecord
 from repro.sim.barriers import join_cost
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
 
 
-class HpxAsyncBackend(Backend):
+class HpxAsyncBackend(ScheduledBackend):
     """Future-returning loops with application-placed synchronization."""
 
     name = "hpx_async"
-    asynchronous = True
-
-    def __init__(self) -> None:
-        self._sched = None  # threads-mode LoopScheduler, created lazily
-
-    def on_attach(self, rt: Op2Runtime) -> None:
-        self._sched = None
-
-    def _scheduler(self, rt: Op2Runtime):
-        if self._sched is None:
-            from repro.backends.scheduling import LoopScheduler
-
-            self._sched = LoopScheduler(rt, refine_blocks=False)
-        return self._sched
-
-    def run_loop(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> Future:
-        mode = self._exec_mode(rt)
-
-        if loop.is_direct or plan.ncolors == 1:
-            # Paper Fig 8/9: one bulk for_each(par(task)) suffices; chunks of
-            # a single color never conflict.
-            blocks = plan.classes[0] if plan.classes else []
-
-            def body(i: int) -> None:
-                execute_loop(loop, plan.block_elements(blocks[i]), mode=mode)
-
-            result = for_each(par_task, range(len(blocks)), body)
-            assert isinstance(result, Future)
-            return result
-
-        # Colored indirect loop: colors must run as sequential stages. An
-        # async orchestration task runs the color-ordered fork-joins; only
-        # consumers of the returned future wait on it.
-        def orchestrate() -> None:
-            for color_blocks in plan.classes:
-                def body(i: int, _blocks=color_blocks) -> None:
-                    execute_loop(loop, plan.block_elements(_blocks[i]), mode=mode)
-
-                for_each(par, range(len(color_blocks)), body)
-
-        return get_runtime().async_(orchestrate, name=f"async.{loop.name}")
-
-    def run_loop_threads(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> Future:
-        # Real-thread mode: every chunk is dependency-released on the pool
-        # with no per-loop barrier; the returned future resolves when the
-        # loop's finalizer task runs, so the application's ``rt.sync(...)``
-        # placement — paper Fig 10's ``new_data.get()`` — is the only real
-        # join. Conflicting loops are ordered at loop granularity (the
-        # dataflow backend refines to block level).
-        return self._scheduler(rt).schedule(
-            loop, plan, self._thread_chunker(rt), self._exec_mode(rt), loop_id
-        )
-
-    def finalize(self, rt: Op2Runtime) -> None:
-        if self._sched is not None:
-            self._sched.finalize()
-        rt.hpx.executor.drain()
-
-    def cancel(self, rt: Op2Runtime) -> None:
-        if self._sched is not None:
-            self._sched.cancel()
+    refine_blocks = False
 
     def emit(
         self,

@@ -7,101 +7,38 @@ builds the execution tree — a dependency graph — automatically, with no
 programmer-placed ``get()`` calls and no step-boundary synchronization:
 ``data[t]`` depends on ``data[t-1]`` exactly as in paper Fig 14.
 
-Functionally, the backend drives :func:`repro.hpx.dataflow.dataflow` with the
-producer futures computed by :class:`~repro.op2.deps.DatDependencyTracker`.
-
-For the simulator, the emitter refines loop-level dependence to **block
-level** using the plans and maps (:mod:`repro.backends.blockdeps`): a
-consumer block waits only for the producer blocks that touched the same dat
+Both the threads-mode scheduler and the emitter refine loop-level dependence
+to **block level** using the plans and maps (:mod:`repro.backends.blockdeps`):
+a consumer block waits only for the producer blocks that touched the same dat
 rows. This is the runtime interleaving of direct and indirect loops —
 including across timestep boundaries — that the paper credits for the ~21%
-scaling improvement.
+scaling improvement. In sim mode the runtime runs each loop in program order;
+the dependency tree exists only in the emitted graph.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.backends.base import Backend, execute_loop
+from repro.backends.base import execute_loop  # noqa: F401 - patched by perfbench/layers.py
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
 from repro.backends.emission import add_gate, record_block_costs
-from repro.hpx.dataflow import dataflow
-from repro.hpx.future import Future
+from repro.backends.scheduling import ScheduledBackend
 from repro.op2.deps import DatDependencyTracker
-from repro.op2.parloop import ParLoop
-from repro.op2.plan import Plan
-from repro.op2.runtime import LoopLog, LoopRecord, Op2Runtime
+from repro.op2.runtime import LoopLog, LoopRecord
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
 
 
-class HpxDataflowBackend(Backend):
+class HpxDataflowBackend(ScheduledBackend):
     """Automatic dependence-driven asynchronous execution."""
 
     name = "hpx_dataflow"
-    asynchronous = True
+    refine_blocks = True
 
     def __init__(self) -> None:
-        self.tracker: DatDependencyTracker[int] = DatDependencyTracker()
-        self._futures: dict[int, Future] = {}
+        super().__init__()
         self._blockdep_cache = BlockDepCache()
-        self._sched = None  # threads-mode LoopScheduler, created lazily
-
-    def on_attach(self, rt: Op2Runtime) -> None:
-        self.tracker.reset()
-        self._futures.clear()
-        self._sched = None
-
-    def _scheduler(self, rt: Op2Runtime):
-        if self._sched is None:
-            from repro.backends.scheduling import LoopScheduler
-
-            self._sched = LoopScheduler(rt, refine_blocks=True)
-        return self._sched
-
-    def run_loop(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> Future:
-        mode = self._exec_mode(rt)
-        dep_ids = self.tracker.dependencies(list(loop.args), token=loop_id)
-        dep_futures = [self._futures[d] for d in dep_ids if d in self._futures]
-
-        def body(*_ready: Any) -> None:
-            execute_loop(loop, mode=mode)
-
-        result = dataflow(body, *dep_futures, name=f"dataflow.{loop.name}")
-        self._futures[loop_id] = result
-        return result
-
-    def run_loop_threads(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> Future:
-        # Real-thread mode: every chunk is released on the pool as soon as
-        # the *conflicting producer blocks* complete (block-level refinement
-        # via repro.backends.blockdeps), so dependent loops interleave on
-        # real threads exactly like the emitted execution tree — including
-        # across timestep boundaries. No per-loop or per-color join exists
-        # anywhere on this path.
-        return self._scheduler(rt).schedule(
-            loop, plan, self._thread_chunker(rt), self._exec_mode(rt), loop_id
-        )
-
-    def finalize(self, rt: Op2Runtime) -> None:
-        if self._sched is not None:
-            self._sched.finalize()
-        for loop_id in self.tracker.outstanding():
-            fut = self._futures.get(loop_id)
-            if fut is not None:
-                fut.get()
-        rt.hpx.executor.drain()
-
-    def cancel(self, rt: Op2Runtime) -> None:
-        # Abandon the dependency tree: outstanding dat-futures must not feed
-        # the dataflow of whatever session next reuses this runtime.
-        self.tracker.reset()
-        self._futures.clear()
-        if self._sched is not None:
-            self._sched.cancel()
 
     # -- emission ------------------------------------------------------------
 

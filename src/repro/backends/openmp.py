@@ -13,9 +13,7 @@ from typing import Any
 
 from repro.backends.base import Backend
 from repro.backends.emission import emit_static_color_class, record_block_costs
-from repro.op2.parloop import ParLoop
-from repro.op2.plan import Plan
-from repro.op2.runtime import LoopLog, Op2Runtime
+from repro.op2.runtime import LoopLog
 from repro.sim.barriers import barrier_cost
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
@@ -26,14 +24,6 @@ class OpenMPBackend(Backend):
 
     name = "openmp"
     asynchronous = False
-
-    def run_loop(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> None:
-        # Functionally, fork-join over blocks in color order is just ordered
-        # execution; the numerical result matches the reference exactly.
-        self.run_functional(rt, loop)
-        return None
 
     def emit(
         self,

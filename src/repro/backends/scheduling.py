@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.backends.base import Backend
 from repro.backends.base import apply_global_partials  # noqa: F401 - patched by perfbench/layers.py
 from repro.backends.blockdeps import BlockDepCache, hazard_dats
 from repro.backends.threaded import LoopChunk, LoopSpace, submit_loop
@@ -172,7 +173,6 @@ class LoopScheduler:
         loop: "ParLoop",
         plan: "Plan",
         chunker: "Chunker",
-        mode: str,
         loop_id: int,
     ) -> PoolFuture:
         """Submit every chunk of ``loop`` with its conflict-exact deps.
@@ -203,7 +203,7 @@ class LoopScheduler:
         }
         chunks = LoopSpace.of(plan).split(chunker, pool.num_workers)
         tasks, final = submit_loop(
-            pool, loop, chunks, mode, fallback, self.rt.obs,
+            pool, loop, chunks, fallback, self.rt.obs,
             chunk_deps=chunk_deps,
             final_deps=[chain[k] for k, chain in gates.items() if k in chain],
         )
@@ -265,3 +265,39 @@ class LoopScheduler:
         self._global_gates.clear()
         self._dat_gates.clear()
         self.tracker.reset()
+
+
+class ScheduledBackend(Backend):
+    """A backend whose threads-mode loops are dependency-released pool tasks.
+
+    Every chunk is submitted with the predecessors :class:`LoopScheduler`
+    works out and released the instant they complete; no per-loop or
+    per-color join exists. The returned future resolves when the loop's
+    finalizer has run, so ``rt.sync(...)`` / ``rt.finish()`` are the only
+    places the application blocks. ``refine_blocks`` picks loop-level
+    (async) or block-level (dataflow) producer edges.
+    """
+
+    asynchronous = True
+    refine_blocks: bool = False
+
+    def __init__(self) -> None:
+        self._sched: LoopScheduler | None = None  # created on first loop
+
+    def on_attach(self, rt: "Op2Runtime") -> None:
+        self._sched = None
+
+    def run_loop(
+        self, rt: "Op2Runtime", loop: "ParLoop", plan: "Plan", loop_id: int
+    ) -> PoolFuture:
+        if self._sched is None:
+            self._sched = LoopScheduler(rt, refine_blocks=self.refine_blocks)
+        return self._sched.schedule(loop, plan, self._thread_chunker(rt), loop_id)
+
+    def finalize(self, rt: "Op2Runtime") -> None:
+        if self._sched is not None:
+            self._sched.finalize()
+
+    def cancel(self, rt: "Op2Runtime") -> None:
+        if self._sched is not None:
+            self._sched.cancel()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, execute_loop
 from repro.backends.emission import record_block_costs
 from repro.op2.parloop import ParLoop
 from repro.op2.plan import Plan
@@ -22,19 +22,14 @@ class SeqBackend(Backend):
     def run_loop(
         self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
     ) -> None:
-        self.run_functional(rt, loop)
-        return None
-
-    def run_loop_threads(
-        self, rt: Op2Runtime, loop: ParLoop, plan: Plan, loop_id: int
-    ) -> None:
         # The sequential reference stays sequential in every mode — it is the
         # baseline both the conformance matrix and wall-clock speedups use.
         rec = rt.obs
         if rec is None:
-            return self.run_loop(rt, loop, plan, loop_id)
+            execute_loop(loop)
+            return None
         t0 = rec.now()
-        self.run_functional(rt, loop)
+        execute_loop(loop)
         end = rec.now()
         rec.span(loop.name, "loop", loop.name, t0, end, busy=True)
         rec.record_loop(loop.name, end - t0, 1, 1)

@@ -167,15 +167,11 @@ class LoopSpace:
         return chunks
 
 
-def run_chunk(
-    loop: ParLoop, chunk: LoopChunk, mode: str, rec: "TraceRecorder | None"
-) -> ChunkResult:
+def run_chunk(loop: ParLoop, chunk: LoopChunk, rec: "TraceRecorder | None") -> ChunkResult:
     """Chunk body: one ``execute_loop`` call, deferring globals and versions."""
     start = rec.now() if rec is not None else 0.0
     partials: list[tuple[Arg, np.ndarray]] = []
-    execute_loop(
-        loop, chunk.elements, mode=mode, global_sink=partials, bump_versions=False
-    )
+    execute_loop(loop, chunk.elements, global_sink=partials, bump_versions=False)
     return start, partials
 
 
@@ -222,7 +218,6 @@ def run_forkjoin(
     loop: ParLoop,
     space: LoopSpace,
     chunker: Chunker,
-    mode: str = "vectorized",
     rec: "TraceRecorder | None" = None,
 ) -> None:
     """Run ``loop`` color by color, one fork-join pool batch per color.
@@ -246,7 +241,7 @@ def run_forkjoin(
             nonlocal prefix_s
             t0 = perf_counter()
             results.append(
-                run_chunk(loop, space.chunk(ci, -1, blocks[c.start : c.stop]), mode, rec)
+                run_chunk(loop, space.chunk(ci, -1, blocks[c.start : c.stop]), rec)
             )
             elapsed = perf_counter() - t0
             if rec is not None:
@@ -270,7 +265,7 @@ def run_forkjoin(
         # finished: the color barrier.
         results.extend(
             pool.run_batch(
-                [lambda w=w: run_chunk(loop, w, mode, rec) for w in work],
+                [lambda w=w: run_chunk(loop, w, rec) for w in work],
                 loop=loop.name,
                 color=ci,
             )
@@ -285,7 +280,6 @@ def submit_loop(
     pool: ThreadPoolEngine,
     loop: ParLoop,
     chunks: list[list[LoopChunk]],
-    mode: str,
     deps: Sequence[PoolTask],
     rec: "TraceRecorder | None" = None,
     chunk_deps: Callable[[LoopChunk], list[PoolTask]] | None = None,
@@ -309,7 +303,7 @@ def submit_loop(
     for color_chunks in chunks:
         color_tasks = [
             pool.submit_after(
-                lambda c=c: run_chunk(loop, c, mode, rec),
+                lambda c=c: run_chunk(loop, c, rec),
                 prev if chunk_deps is None else prev + chunk_deps(c),
                 loop=loop.name,
                 color=c.color,

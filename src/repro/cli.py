@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-size", type=int, default=128)
     p.add_argument(
         "--mode", default="sim", choices=["sim", "threads"],
-        help="sim: cooperative simulated execution; threads: real thread pool",
+        help="sim: loops in program order, simulated timing; threads: real thread pool",
     )
     p.add_argument(
         "--workers", type=int, default=None,
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument(
         "--mode", default="sim", choices=["sim", "threads"],
-        help="sim: cooperative simulated execution; threads: real thread pool",
+        help="sim: loops in program order, simulated timing; threads: real thread pool",
     )
     p.add_argument(
         "--workers", type=int, default=None,

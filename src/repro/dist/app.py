@@ -28,7 +28,7 @@ from repro.airfoil.meshgen import AirfoilMesh
 from repro.backends.base import execute_loop
 from repro.dist.exchange import HaloExchange
 from repro.engine import airfoil_timestep
-from repro.engine.airfoil import airfoil_loops
+from repro.engine.airfoil import CELL_FIELDS, airfoil_loops
 from repro.engine.program import ExchangeStep
 from repro.dist.partition import band_partition, cell_centroids, rcb_partition
 from repro.dist.plan import DistPlan, RankPlan, build_dist_plan
@@ -61,6 +61,19 @@ def make_owner(mesh: AirfoilMesh, ranks: int, partitioner: str) -> np.ndarray:
     )
 
 
+def rank_field_shapes(rp: RankPlan) -> dict[str, tuple[int, int]]:
+    """Storage shape of each cell field on one rank.
+
+    ``qold`` is read and written only by direct cell loops, so it covers the
+    owned rows; the other fields span owned + halo rows.
+    """
+    n_local = rp.n_owned + rp.n_halo
+    return {
+        name: (rp.n_owned if name == "qold" else n_local, dim)
+        for name, dim in CELL_FIELDS.items()
+    }
+
+
 def build_rank_state(
     rp: RankPlan,
     kernels: dict,
@@ -77,19 +90,14 @@ def build_rank_state(
     arrays are (re)initialized in place; omitted, fresh numpy storage is
     allocated.
     """
-    n_local = rp.n_owned + rp.n_halo
+    shapes = rank_field_shapes(rp)
     if arrays is None:
-        arrays = {
-            "q": np.empty((n_local, 4)),
-            "qold": np.zeros((rp.n_owned, 4)),
-            "res": np.zeros((n_local, 4)),
-            "adt": np.zeros((n_local, 1)),
-        }
-    q, qold, res, adt = arrays["q"], arrays["qold"], arrays["res"], arrays["adt"]
-    if q.shape != (n_local, 4) or qold.shape != (rp.n_owned, 4):
+        arrays = {name: np.empty(shape) for name, shape in shapes.items()}
+    if any(arrays[name].shape != shape for name, shape in shapes.items()):
         raise ValidationError(
             f"rank {rp.rank} array shapes do not match its plan layout"
         )
+    q, qold, res, adt = arrays["q"], arrays["qold"], arrays["res"], arrays["adt"]
     q[:] = freestream
     qold[:] = 0.0
     res[:] = 0.0
@@ -101,6 +109,11 @@ def build_rank_state(
     # q[:n_owned] is a contiguous view, so writes through either dat are the
     # same memory.
     owned, cells = rp.owned_set, rp.cells_set
+
+    def views(name: str) -> tuple[OpDat, OpDat]:
+        arr, dim = arrays[name], CELL_FIELDS[name]
+        return OpDat(name, owned, dim, arr[: rp.n_owned]), OpDat(name, cells, dim, arr)
+
     loops = airfoil_loops(
         kernels,
         {"cells": owned, "edges": rp.edges_set, "bedges": rp.bedges_set},
@@ -108,10 +121,10 @@ def build_rank_state(
         {
             "x": OpDat("x", rp.nodes_set, 2, rp.x_local),
             "bound": OpDat("bound", rp.bedges_set, 1, rp.bound_local, dtype=np.int64),
-            "q": (OpDat("q", owned, 4, q[: rp.n_owned]), OpDat("q", cells, 4, q)),
-            "qold": OpDat("qold", owned, 4, qold),
-            "res": (OpDat("res", owned, 4, res[: rp.n_owned]), OpDat("res", cells, 4, res)),
-            "adt": (OpDat("adt", owned, 1, adt[: rp.n_owned]), OpDat("adt", cells, 1, adt)),
+            "q": views("q"),
+            "qold": OpDat("qold", owned, CELL_FIELDS["qold"], qold),
+            "res": views("res"),
+            "adt": views("adt"),
         },
         {"qinf": g_qinf, "rms": rms},
     )
@@ -140,7 +153,7 @@ class DistAirfoil:
         self.exchange = HaloExchange(self.dplan)
         self.kernels = make_kernels(constants)
         freestream = constants.freestream()
-        self.g_qinf = OpGlobal("qinf", 4, freestream)
+        self.g_qinf = OpGlobal("qinf", CELL_FIELDS["q"], freestream)
         self.states: list[RankState] = [
             build_rank_state(rp, self.kernels, self.g_qinf, freestream)
             for rp in self.dplan.plans
@@ -186,15 +199,11 @@ class DistAirfoil:
 
     def gather_q(self) -> np.ndarray:
         """Assemble the global solution from the owned rows of every rank."""
-        out = np.empty((self.mesh.cells.size, 4))
-        for state in self.states:
-            out[state.plan.owned_cells] = state.q[: state.plan.n_owned]
-        return out
+        return self.gather("q")
 
     def gather(self, field: str) -> np.ndarray:
         """Assemble any cell field ('q', 'res', 'adt', 'qold')."""
-        dim = {"q": 4, "res": 4, "adt": 1, "qold": 4}[field]
-        out = np.empty((self.mesh.cells.size, dim))
+        out = np.empty((self.mesh.cells.size, CELL_FIELDS[field]))
         for state in self.states:
             arr = getattr(state, field)
             out[state.plan.owned_cells] = arr[: state.plan.n_owned]

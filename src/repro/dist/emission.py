@@ -38,15 +38,11 @@ from repro.airfoil.constants import DEFAULT_CONSTANTS
 from repro.dist.comm import CommModel
 from repro.dist.plan import DistPlan, split_boundary
 from repro.engine import airfoil_timestep
-from repro.engine.airfoil import AIRFOIL_LOOPS
+from repro.engine.airfoil import AIRFOIL_LOOPS, CELL_FIELDS
 from repro.engine.program import ExchangeStep, LoopStep
 from repro.sim.barriers import barrier_cost
 from repro.sim.machine import MachineConfig
 from repro.sim.task import TaskGraph
-
-#: float64 components per exchanged row, per dat field.
-FIELD_DIMS = {"q": 4, "adt": 1, "res": 4}
-
 
 @dataclass(frozen=True)
 class DistScheduleConfig:
@@ -223,7 +219,7 @@ def _count(step: LoopStep, w: _RankWork) -> int:
 
 def _msg_dim(step: ExchangeStep) -> int:
     """float64 components per exchanged row (fields pack into one message)."""
-    return sum(FIELD_DIMS[f] for f in step.fields)
+    return sum(CELL_FIELDS[f] for f in step.fields)
 
 
 def _part_name(step: LoopStep, tag: str) -> str:

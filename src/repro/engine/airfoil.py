@@ -69,6 +69,11 @@ INNER_ITERS = 2
 CELL_SUBSETS = ("boundary_cells", "interior_cells")
 EDGE_SUBSETS = ("interior_edges", "exterior_edges")
 
+#: Float64 components per row of each Airfoil cell field. Every cell-field
+#: allocation (whole mesh, rank arrays, shared-memory segments), each gathered
+#: global field and each exchanged halo row takes its width from here.
+CELL_FIELDS: dict[str, int] = {"q": 4, "qold": 4, "res": 4, "adt": 1}
+
 #: The five loops: loop name -> (iteration set, arguments). A dat argument
 #: is ``(dat, map or None, idx, access)``; a global one is ``(global, access)``.
 AIRFOIL_LOOPS: dict[str, tuple[str, tuple[tuple, ...]]] = {

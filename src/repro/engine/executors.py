@@ -307,9 +307,7 @@ class DependencyExecutor(_PooledExecutor):
                 space = self._space(step, b)
                 if space.classes:
                     chunks = space.split(CHUNKER, pool.num_workers)
-                    _tasks, final = submit_loop(
-                        pool, b.loops[step.name], chunks, "vectorized", deps, b.recorder
-                    )
+                    _tasks, final = submit_loop(pool, b.loops[step.name], chunks, deps, b.recorder)
                 else:
                     final = pool.gate(deps, loop=step.label)
             finals.append(final)

@@ -2,7 +2,8 @@
 
 Simulated pipeline per (backend, mesh):
 
-1. run the app *functionally* under the backend (numerics + loop log);
+1. run the app in sim mode under the backend: loops execute in program
+   order (numerics) and are recorded (loop log);
 2. validate the numerics against the plain-numpy reference;
 3. for each thread count, have the backend emit its task graph from the log
    and simulate it on the machine model.
@@ -67,7 +68,7 @@ def run_backend(
         mesh = generate_mesh(**config.mesh_kwargs())
     rt = Op2Runtime(
         backend=backend,
-        num_threads=4,  # logical workers for functional execution only
+        num_threads=4,  # sim values ignore it; emission takes its own count
         block_size=config.block_size,
     )
     previous = rt.activate()

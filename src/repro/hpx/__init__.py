@@ -14,11 +14,11 @@ This subpackage mirrors the slice of HPX used by the paper:
   (paper Figs 6–7).
 
 Execution is cooperative: the executor multiplexes logical worker queues on
-the calling OS thread (CPython's GIL makes real thread scaling meaningless for
-pure-Python tasks). The *scheduling structure* — who waits on what, when
-barriers happen, how work is stolen — is identical to the real runtime and is
-what the paper's claims are about; timing behaviour is replayed on the
-discrete-event machine model in :mod:`repro.sim`.
+the calling OS thread. This stack is the runtime the translated modules
+(:mod:`repro.codegen`, ``examples/generated/*``) run on; OP2 backends compute
+no values on it. Sim-mode loops run in program order in the OP2 runtime and
+are timed by replaying the backends' emitted graphs on :mod:`repro.sim`;
+threads mode uses :mod:`repro.hpx.threadpool`.
 """
 
 from repro.hpx.future import Future, FutureError, make_ready_future, when_all

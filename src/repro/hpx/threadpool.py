@@ -188,7 +188,7 @@ class PoolTask:
 class PoolFuture(Future):
     """A loop future satisfied by a :class:`PoolTask` instead of the executor.
 
-    Returned by the dependency-scheduled backends' ``run_loop_threads``: the
+    Returned by the dependency-scheduled backends' ``run_loop``: the
     future resolves when the loop's finalizer task completes, so the
     application's ``rt.sync(...)`` placement — not a per-loop barrier — is
     what actually orders the program. ``get`` blocks the calling OS thread

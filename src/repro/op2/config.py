@@ -3,10 +3,11 @@
 Every :class:`~repro.op2.runtime.Op2Runtime` carries a :class:`RuntimeConfig`
 selecting one of two execution modes:
 
-- ``"sim"`` (default) — the cooperative single-OS-thread path: backends run
-  their loops through the deterministic
-  :class:`~repro.hpx.executor.TaskExecutor` and the machine *simulator*
-  produces the scaling numbers. Bit-identical to the historical behaviour.
+- ``"sim"`` (default) — values in program order, timing from the model: the
+  runtime runs each loop as one whole-set ``execute_loop`` call on the
+  calling thread (bit-identical to ``seq`` for every backend), and the
+  machine *simulator* times the task graph the backend emits from the loop
+  log, which is where the backends differ.
 - ``"threads"`` — real shared-memory execution: the gather/compute/scatter
   core runs on a :class:`~repro.hpx.threadpool.ThreadPoolEngine` backed by a
   ``concurrent.futures.ThreadPoolExecutor``. Direct loops are split into
@@ -41,7 +42,7 @@ class RuntimeConfig:
     """How loops are physically executed.
 
     Attributes:
-        mode: ``"sim"`` (cooperative, deterministic, default), ``"threads"``
+        mode: ``"sim"`` (program order, simulated timing, default), ``"threads"``
             (real ``ThreadPoolExecutor`` workers measuring wall-clock), or
             ``"procs"`` (rank-per-process SPMD execution with shared-memory
             dats and pipe-based halo exchanges — driven through

@@ -16,10 +16,10 @@ implements the full read/write/increment state machine:
 - a **writer** depends on everything outstanding (last writer, readers,
   incrementers) and then resets the state.
 
-The tracker is generic over what a "token" is: the dataflow *backend* uses
-HPX futures (functional execution order), while the dataflow *emitter* uses
-loop ids (task-graph construction). Both therefore share one dependence
-semantics, which the tests pin down.
+The tracker is generic over what a "token" is; the threads-mode scheduler
+(:mod:`repro.backends.scheduling`) and the dataflow *emitter* both use loop
+ids. Both therefore share one dependence semantics, which the tests pin
+down.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ An :class:`Op2Runtime` is one configured execution context: which backend
 (openmp / hpx flavor), how many threads, what block size. It owns
 
 - the plan cache (plans are reused across loops and timesteps);
-- the HPX runtime for the async/dataflow backends;
+- the cooperative HPX runtime that translated modules
+  (``examples/generated/*``) run on;
 - the **loop log**: the sequence of executed loops and synchronization
   points, which the task-graph emitters replay onto the machine simulator.
 """
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.hpx.future import Future
+from repro.hpx.future import Future, make_ready_future
 from repro.hpx.runtime import HPXRuntime, set_runtime
 from repro.hpx.threadpool import PoolStats, ThreadPoolEngine
 from repro.obs.recorder import TraceRecorder
@@ -138,7 +139,14 @@ class Op2Runtime:
     # -- loop execution -----------------------------------------------------
 
     def par_loop(self, loop: ParLoop) -> Future | None:
-        """Record and dispatch one loop; returns the backend's result."""
+        """Record and run one loop; returns a future iff the backend is async.
+
+        Threads mode hands the loop to the backend. Sim mode runs it here, in
+        program order, as one ``execute_loop`` call: :mod:`repro.sim` times
+        the graph the backend emits from the log, so sim values need nothing
+        more. An asynchronous backend's loop still returns a (ready) future,
+        so ``rt.sync`` logs the sync points its emitter replays.
+        """
         if self.config.procs:
             raise Op2Error(
                 "mode='procs' executes whole applications across rank "
@@ -150,9 +158,14 @@ class Op2Runtime:
         self._next_loop_id += 1
         self.log.append(LoopRecord(loop_id=loop_id, loop=loop, plan=plan))
         if self.config.threaded:
-            result = self.backend.run_loop_threads(self, loop, plan, loop_id)
-        else:
             result = self.backend.run_loop(self, loop, plan, loop_id)
+        else:
+            from repro.backends.base import execute_loop
+
+            execute_loop(loop)
+            result = None
+            if self.backend.asynchronous:
+                result = make_ready_future(None, self.hpx.executor)
         if isinstance(result, Future):
             # The loop id lives on the future itself: an id()-keyed side
             # table maps a *new* future to a stale loop after CPython reuses
@@ -284,9 +297,10 @@ def op2_session(
 
     ``mode="threads"`` selects real shared-memory execution on
     ``num_workers`` OS threads (default: ``num_threads``); the default
-    ``"sim"`` keeps the deterministic cooperative path. ``trace``/``timing``
-    enable the wall-clock observability layer (see :mod:`repro.obs`);
-    ``log_limit`` bounds the loop log (see :class:`LoopLog`).
+    ``"sim"`` runs loops in program order and leaves timing to the emitted
+    task graphs. ``trace``/``timing`` enable the wall-clock observability
+    layer (see :mod:`repro.obs`); ``log_limit`` bounds the loop log (see
+    :class:`LoopLog`).
 
     If the body raises, outstanding asynchronous work is *cancelled* rather
     than finished — queued tasks must not leak into a later session that

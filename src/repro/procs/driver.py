@@ -33,6 +33,7 @@ from repro.airfoil.meshgen import AirfoilMesh
 from repro.dist.app import make_owner
 from repro.dist.comm import CommModel, fit_comm_model
 from repro.dist.plan import DistPlan, build_dist_plan
+from repro.engine.airfoil import CELL_FIELDS
 from repro.obs.timing import KernelTiming, TimingSummary
 from repro.procs.shm import ShmRegistry
 from repro.procs.transport import build_channels
@@ -190,7 +191,7 @@ class ProcsResult:
 
 def _assemble_q(dplan: DistPlan, registry: ShmRegistry, ncells: int) -> np.ndarray:
     """Copy every rank's owned q rows out of shared memory (pre-teardown)."""
-    out = np.empty((ncells, 4))
+    out = np.empty((ncells, CELL_FIELDS["q"]))
     for rp in dplan.plans:
         out[rp.owned_cells] = registry.arrays(rp.rank)["q"][: rp.n_owned]
     return out

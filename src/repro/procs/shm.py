@@ -23,24 +23,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.dist.plan import DistPlan, RankPlan
+from repro.dist.app import rank_field_shapes
+from repro.dist.plan import DistPlan
 from repro.util.validate import ValidationError
 
-#: The per-rank dat fields: (name, row space, columns). ``cells`` rows span
-#: owned + halo; ``owned`` rows stop at the owned region.
-DAT_FIELDS: tuple[tuple[str, str, int], ...] = (
-    ("q", "cells", 4),
-    ("qold", "owned", 4),
-    ("res", "cells", 4),
-    ("adt", "cells", 1),
-)
-
 _DTYPE = np.float64
-
-
-def _field_rows(rp: RankPlan, space: str) -> int:
-    return rp.n_owned + rp.n_halo if space == "cells" else rp.n_owned
-
 
 @dataclass(frozen=True)
 class SegmentSpec:
@@ -100,11 +87,8 @@ class ShmRegistry:
             for rp in dplan.plans:
                 specs: dict[str, SegmentSpec] = {}
                 arrays: dict[str, np.ndarray] = {}
-                for field, space, dim in DAT_FIELDS:
-                    spec = SegmentSpec(
-                        name=f"repro_{self.token}_r{rp.rank}_{field}",
-                        shape=(_field_rows(rp, space), dim),
-                    )
+                for field, shape in rank_field_shapes(rp).items():
+                    spec = SegmentSpec(name=f"repro_{self.token}_r{rp.rank}_{field}", shape=shape)
                     seg = shared_memory.SharedMemory(
                         create=True, name=spec.name, size=max(spec.nbytes, 1)
                     )

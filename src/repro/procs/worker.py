@@ -36,6 +36,7 @@ from repro.airfoil.kernels import make_kernels
 from repro.dist.app import RankState, build_rank_state
 from repro.dist.plan import RankPlan, split_boundary
 from repro.engine import ProgramBindings, airfoil_timestep, make_executor
+from repro.engine.airfoil import CELL_FIELDS
 from repro.hpx.threadpool import ThreadPoolEngine
 from repro.obs.recorder import TraceRecorder
 from repro.obs.timing import KernelTiming
@@ -150,7 +151,7 @@ def worker_main(spec: RankSpec, channels: RankChannels, barrier, results) -> Non
         attached = AttachedRank(spec.layout)
         kernels = make_kernels(spec.constants)
         freestream = spec.constants.freestream()
-        g_qinf = OpGlobal("qinf", 4, freestream)
+        g_qinf = OpGlobal("qinf", CELL_FIELDS["q"], freestream)
         state = build_rank_state(
             spec.plan, kernels, g_qinf, freestream, arrays=attached.arrays
         )

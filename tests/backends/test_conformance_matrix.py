@@ -1,11 +1,11 @@
 """Differential conformance: every backend x mode x worker count vs seq.
 
-The matrix the issue demands: the Airfoil mini-mesh runs N steps under every
-(backend, execution mode, worker count) combination and every state dat must
-match the sequential reference within 1e-12. This is the contract that makes
-``mode="threads"`` trustworthy — real OS threads may reorder block execution,
-but coloring + deferred global reductions must keep the numbers aligned with
-the single-threaded semantics.
+The Airfoil mini-mesh runs N steps under every (backend, execution mode,
+worker count) combination. Sim mode runs every loop in program order, so its
+state must equal the sequential reference bit for bit. Threads mode must
+match within 1e-12: real OS threads may reorder block execution, but coloring
++ deferred global reductions must keep the numbers aligned with the
+single-threaded semantics.
 """
 
 import numpy as np
@@ -60,15 +60,16 @@ def test_conformance_matrix(backend, mode, num_workers, mini_mesh, seq_reference
         app = AirfoilApp(mini_mesh)
         result = app.run(rt, NITER)
 
+    tol = 0.0 if mode == "sim" else TOL
     for name in STATE_DATS:
         diff = float(np.abs(getattr(app, name).data - ref_state[name]).max())
-        assert diff <= TOL, (
+        assert diff <= tol, (
             f"{backend}/{mode}/{num_workers}w: {name} deviates from seq "
-            f"by {diff:.3e} (tol {TOL:.0e})"
+            f"by {diff:.3e} (tol {tol:.0e})"
         )
     # The scalar reduction (rms) must conform too — it flows through the
     # deferred global-partial path in threads mode.
-    assert result.rms_total == pytest.approx(ref_result.rms_total, abs=TOL)
+    assert result.rms_total == pytest.approx(ref_result.rms_total, abs=tol)
 
 
 @pytest.mark.parametrize("threads_per_rank", [1, 2])

@@ -100,12 +100,13 @@ class TestKernelFailurePropagation:
                 rt.sync(f2)
 
     def test_failure_midway_leaves_partial_state_visible(self, world):
-        # Block-granular execution fails partway: earlier blocks committed.
-        # This documents (and pins) at-least-once visibility — no rollback.
+        # Chunk-granular threads-mode execution fails partway: earlier
+        # chunks committed. This documents (and pins) at-least-once
+        # visibility — no rollback.
         cells, src, dst = world
         with pytest.raises(RuntimeError):
             with op2_session(
-                backend="foreach", num_threads=2, block_size=8
+                backend="foreach", num_threads=2, block_size=8, mode="threads"
             ):
                 op_par_loop(
                     failing_kernel(20),

@@ -14,11 +14,13 @@ Each test here targets a bug that survived in the runtime for a while:
 """
 
 import gc
+import threading
 
 import numpy as np
 import pytest
 
-from repro.hpx.future import FutureError, make_ready_future
+from repro.hpx.future import make_ready_future
+from repro.hpx.threadpool import TaskCancelled
 from repro.op2 import (
     OP_ID,
     OP_INC,
@@ -121,21 +123,56 @@ class TestFutureLoopIds:
             assert len(rt.log.entries) == n
 
 
+def _held_loop(hold, n=64):
+    """A direct loop whose chunks block until ``hold`` is set (5 s at most)."""
+    cells = OpSet("cells", n)
+    src = OpDat("src", cells, 1, np.arange(n, dtype=float))
+    out = OpDat("out", cells, 1, np.zeros(n))
+
+    def kv(a, o):
+        hold.wait(5.0)
+        o[:] = a
+
+    return op_par_loop(
+        Kernel("held", lambda a, o: None, kv),
+        "held",
+        cells,
+        op_arg_dat(src, -1, OP_ID, OP_READ),
+        op_arg_dat(out, -1, OP_ID, OP_WRITE),
+    )
+
+
+def _abort_while_held(body_error):
+    """Abort a threads-mode hpx_async session while its loop is in flight.
+
+    The loop's chunk blocks on a worker, so its finalizer is still waiting
+    when the body raises; a timer releases the chunk 200 ms later, while the
+    session's cancel path waits in-flight work out. Returns (rt, pool, future).
+    """
+    hold = threading.Event()
+    with pytest.raises(RuntimeError, match=body_error):
+        with op2_session(
+            backend="hpx_async", num_threads=1, mode="threads", num_workers=1
+        ) as rt:
+            pool = rt.thread_pool
+            f = _held_loop(hold)
+            timer = threading.Timer(0.2, hold.set)
+            timer.start()
+            raise RuntimeError(body_error)
+    timer.join()
+    return rt, pool, f
+
+
 class TestSessionErrorPath:
     def test_body_exception_drains_queued_tasks(self):
-        with pytest.raises(RuntimeError, match="body boom"):
-            with op2_session(backend="hpx_async", num_threads=2) as rt:
-                _square_loop()
-                assert rt.hpx.executor.pending() > 0  # loop work is deferred
-                raise RuntimeError("body boom")
+        rt, pool, _f = _abort_while_held("body boom")
+        assert not pool._pending  # no pool task outlives the aborted session
+        assert rt.pool_stats.tasks_cancelled >= 1
         assert rt.hpx.executor.pending() == 0
 
     def test_cancelled_futures_fail_instead_of_deadlocking(self):
-        with pytest.raises(RuntimeError):
-            with op2_session(backend="hpx_async", num_threads=2) as rt:
-                f = _square_loop()
-                raise RuntimeError("abort")
-        with pytest.raises(FutureError, match="cancelled"):
+        _rt, _pool, f = _abort_while_held("abort")
+        with pytest.raises(TaskCancelled, match="cancelled"):
             f.get()
 
     def test_raising_kernel_under_hpx_async(self):
@@ -146,13 +183,11 @@ class TestSessionErrorPath:
         assert rt.hpx.executor.pending() == 0
 
     def test_raising_kernel_under_hpx_dataflow(self):
-        """The dataflow error surfaces in finish(); cleanup must still run."""
+        """The kernel error surfaces from the session; cleanup must still run."""
         with pytest.raises(ValueError, match="kernel boom"):
             with op2_session(backend="hpx_dataflow", num_threads=2) as rt:
                 _raising_loop()
         assert rt.hpx.executor.pending() == 0
-        # Backend scheduling state was reset, not left mid-flight.
-        assert rt.backend._futures == {}
 
     def test_session_after_aborted_session_is_clean(self):
         """Queued work from an aborted session must not replay later."""

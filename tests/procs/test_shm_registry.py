@@ -6,8 +6,8 @@ import pytest
 from repro.airfoil import generate_mesh
 from repro.dist.partition import band_partition
 from repro.dist.plan import build_dist_plan
+from repro.engine.airfoil import CELL_FIELDS
 from repro.procs.shm import (
-    DAT_FIELDS,
     AttachedRank,
     ShmRegistry,
     leaked_segments,
@@ -27,7 +27,7 @@ class TestShmRegistry:
             assert len(reg.layouts) == 2
             for rp, layout in zip(dplan.plans, reg.layouts):
                 assert layout.rank == rp.rank
-                assert set(layout.segments) == {f for f, _, _ in DAT_FIELDS}
+                assert set(layout.segments) == set(CELL_FIELDS)
                 n_local = rp.n_owned + rp.n_halo
                 assert layout.segments["q"].shape == (n_local, 4)
                 assert layout.segments["qold"].shape == (rp.n_owned, 4)

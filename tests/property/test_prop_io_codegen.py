@@ -1,70 +1,11 @@
-"""Property-based tests: archive round-trips and codegen idempotence."""
+"""Property-based tests: codegen parsing, rewriting and translation."""
 
-import io
-
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import translate_source
 from repro.codegen.parser import parse_loops, rewrite_calls
-from repro.op2 import OpDat, OpMap, OpSet
-from repro.op2.io import load_problem, save_problem
 
 ACCESSES = ["OP_READ", "OP_WRITE", "OP_RW", "OP_INC"]
-
-
-@st.composite
-def random_world(draw):
-    nsets = draw(st.integers(1, 3))
-    sets = [OpSet(f"s{i}", draw(st.integers(1, 20))) for i in range(nsets)]
-    maps = []
-    for j in range(draw(st.integers(0, 3))):
-        frm = draw(st.sampled_from(sets))
-        to = draw(st.sampled_from(sets))
-        arity = draw(st.integers(1, 3))
-        values = draw(
-            st.lists(
-                st.lists(st.integers(0, to.size - 1), min_size=arity, max_size=arity),
-                min_size=frm.size,
-                max_size=frm.size,
-            )
-        )
-        maps.append(OpMap(f"m{j}", frm, to, arity, np.array(values, dtype=np.int64)))
-    dats = []
-    for j in range(draw(st.integers(0, 3))):
-        s = draw(st.sampled_from(sets))
-        dim = draw(st.integers(1, 4))
-        data = draw(
-            st.lists(
-                st.lists(
-                    st.floats(-1e6, 1e6, allow_nan=False),
-                    min_size=dim,
-                    max_size=dim,
-                ),
-                min_size=s.size,
-                max_size=s.size,
-            )
-        )
-        dats.append(OpDat(f"d{j}", s, dim, np.array(data)))
-    return sets, maps, dats
-
-
-@settings(max_examples=20)
-@given(random_world())
-def test_problem_archive_round_trip(world):
-    sets, maps, dats = world
-    buf = io.BytesIO()
-    save_problem(buf, sets, maps, dats)
-    buf.seek(0)
-    rsets, rmaps, rdats = load_problem(buf)
-    assert {s.name: s.size for s in sets} == {
-        name: s.size for name, s in rsets.items()
-    }
-    for m in maps:
-        np.testing.assert_array_equal(rmaps[m.name].values, m.values)
-        assert rmaps[m.name].from_set.name == m.from_set.name
-    for d in dats:
-        np.testing.assert_array_equal(rdats[d.name].data, d.data)
 
 
 @st.composite
